@@ -1,4 +1,4 @@
-//! Regenerates the design ablations of DESIGN.md §5.
+//! Regenerates the design ablations (`experiments::ablations`).
 
 // CLI binary / example: stdout is the product.
 #![allow(clippy::print_stdout)]

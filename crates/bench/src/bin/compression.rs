@@ -18,7 +18,7 @@ fn main() {
         .map(|r| r.payload_ratio())
         .fold(f64::INFINITY, f64::min);
     println!(
-        "\nworst ratio vs. v1 SSTable format: {min_sstable:.1}x \
+        "\nworst SSTable ratio vs. fixed-width tuples: {min_sstable:.1}x \
          | worst power-series payload ratio: {min_power:.1}x (acceptance floor: 4x)"
     );
     dcdb_bench::report::write_csv(
@@ -30,8 +30,8 @@ fn main() {
             "fixed_payload_bytes",
             "compressed_bytes",
             "payload_ratio",
-            "sstable_v1_bytes",
-            "sstable_v2_bytes",
+            "raw_tuple_bytes",
+            "sstable_bytes",
             "sstable_ratio",
             "encode_per_s",
             "decode_per_s",
@@ -46,8 +46,8 @@ fn main() {
                     r.fixed_payload_bytes.to_string(),
                     r.compressed_bytes.to_string(),
                     format!("{:.2}", r.payload_ratio()),
-                    r.sstable_v1_bytes.to_string(),
-                    r.sstable_v2_bytes.to_string(),
+                    r.raw_tuple_bytes.to_string(),
+                    r.sstable_bytes.to_string(),
                     format!("{:.2}", r.sstable_ratio()),
                     format!("{:.0}", r.encode_per_s),
                     format!("{:.0}", r.decode_per_s),

@@ -1,4 +1,4 @@
-//! Design-choice ablations (DESIGN.md §5) — experiments the paper argues
+//! Design-choice ablations — experiments the paper argues
 //! qualitatively, quantified here:
 //!
 //! * **SID-prefix vs random partitioning**: DCDB routes a sensor sub-tree to

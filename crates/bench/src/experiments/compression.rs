@@ -7,8 +7,8 @@
 //!
 //! * **series ratio** — the `dcdb-compress` series bytes vs. the 16-byte
 //!   fixed-width MQTT payload records,
-//! * **SSTable ratio** — the v2 (`DCDBSST2`) image vs. the v1 32-byte
-//!   fixed-width records,
+//! * **SSTable ratio** — the on-disk (`DCDBSST3`) image vs. 32-byte
+//!   fixed-width `<sensor, timestamp, reading>` tuples,
 //! * **throughput** — encode and decode rates in readings/s.
 //!
 //! Expected shape: fixed-interval monitoring series compress well over 4×
@@ -21,7 +21,7 @@ use std::time::Instant;
 use dcdb_compress::{decode_series, encode_series, RAW_RECORD_BYTES};
 use dcdb_sim::workloads::BehaviorTrace;
 use dcdb_sim::{Arch, Workload};
-use dcdb_store::reading::Timestamp;
+use dcdb_store::reading::{Timestamp, RAW_READING_BYTES};
 use dcdb_store::sstable::SsTable;
 
 /// Sampling interval of the simulated sensors (1 s, a common production
@@ -43,10 +43,10 @@ pub struct SeriesReport {
     pub fixed_payload_bytes: usize,
     /// Bytes as a compressed series.
     pub compressed_bytes: usize,
-    /// Bytes as a v1 fixed-width SSTable (32 B records + header).
-    pub sstable_v1_bytes: usize,
-    /// Bytes as a v2 compressed SSTable.
-    pub sstable_v2_bytes: usize,
+    /// Bytes as fixed-width tuples (32 B each).
+    pub raw_tuple_bytes: usize,
+    /// Bytes of the SSTable image.
+    pub sstable_bytes: usize,
     /// Encode throughput, readings/s.
     pub encode_per_s: f64,
     /// Decode throughput, readings/s.
@@ -59,9 +59,9 @@ impl SeriesReport {
         self.fixed_payload_bytes as f64 / self.compressed_bytes as f64
     }
 
-    /// SSTable-level compression ratio vs. the v1 format.
+    /// SSTable-level compression ratio vs. fixed-width tuples.
     pub fn sstable_ratio(&self) -> f64 {
-        self.sstable_v1_bytes as f64 / self.sstable_v2_bytes as f64
+        self.raw_tuple_bytes as f64 / self.sstable_bytes as f64
     }
 }
 
@@ -95,9 +95,8 @@ fn measure_series(
     let entries: Vec<(dcdb_sid::SensorId, Timestamp, f64)> =
         series.iter().map(|&(ts, v)| (sid, ts, v)).collect();
     let table = SsTable::from_sorted(entries);
-    let mut v1 = Vec::new();
-    table.write_to_v1(&mut v1).expect("in-memory write");
-    let v2 = table.encode_v2();
+    let mut image = Vec::new();
+    table.write_to(&mut image).expect("in-memory write");
 
     SeriesReport {
         workload,
@@ -105,8 +104,8 @@ fn measure_series(
         readings: series.len(),
         fixed_payload_bytes: series.len() * RAW_RECORD_BYTES,
         compressed_bytes: compressed.len(),
-        sstable_v1_bytes: v1.len(),
-        sstable_v2_bytes: v2.len(),
+        raw_tuple_bytes: series.len() * RAW_READING_BYTES,
+        sstable_bytes: image.len(),
         encode_per_s: series.len() as f64 / encode_s.max(1e-9),
         decode_per_s: series.len() as f64 / decode_s.max(1e-9),
     }
@@ -165,7 +164,7 @@ mod tests {
         let reports = run();
         assert_eq!(reports.len(), 8);
         for r in &reports {
-            // acceptance floor: ≥ 4× vs. the v1 fixed-width SSTable format
+            // acceptance floor: ≥ 4× vs. fixed-width tuples
             assert!(
                 r.sstable_ratio() >= 4.0,
                 "{}/{}: sstable ratio {:.2} below the 4x acceptance floor",

@@ -4,7 +4,7 @@
 //! paper (§6–§7), each with a `run()` returning structured results and a
 //! report binary printing the same rows/series the paper plots.  Integration
 //! tests assert the *shape* of every result (who wins, by what factor, where
-//! crossovers fall); EXPERIMENTS.md records paper-vs-measured values.
+//! crossovers fall).
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|
@@ -16,7 +16,7 @@
 //! | Fig. 8 (Collect Agent scalability)       | [`experiments::fig8`]   | `fig8`   |
 //! | Fig. 9 (heat-removal case study)         | [`experiments::fig9`]   | `fig9`   |
 //! | Fig. 10 (application characterisation)   | [`experiments::fig10`]  | `fig10`  |
-//! | Design ablations (DESIGN.md §5)          | [`experiments::ablations`] | `ablations` |
+//! | Design ablations                         | [`experiments::ablations`] | `ablations` |
 //! | Compression study (dcdb-compress)        | [`experiments::compression`] | `compression` |
 //! | Query pushdown study (dcdb-query)        | [`experiments::query`] | `query` |
 //! | Hot-block cache study (dcdb-store)       | [`experiments::cache`] | `cache` |

@@ -125,12 +125,30 @@ impl CollectAgent {
     /// [`CollectAgent::start_self_monitor`]: the thread holds a [`Weak`]
     /// agent reference and stops when the returned guard drops.
     pub fn start_alert_ticker(self: &Arc<Self>, interval: Duration) -> SelfMonitor {
+        self.spawn_periodic("dcdb-alert-ticker", interval, |agent, now| {
+            if let Some(engine) = agent.alert_engine() {
+                engine.tick(now, Some(&agent.sensor_db()));
+            }
+        })
+    }
+
+    /// Run `f(agent, wall_clock_ns)` every `interval` on a thread called
+    /// `name`.  The thread holds only a [`Weak`] reference: it exits once
+    /// the agent is dropped, or when the returned guard is.
+    fn spawn_periodic(
+        self: &Arc<Self>,
+        name: &str,
+        interval: Duration,
+        f: impl Fn(&Arc<CollectAgent>, i64) + Send + 'static,
+    ) -> SelfMonitor {
         let stop = Arc::new(AtomicBool::new(false));
         let weak: Weak<CollectAgent> = Arc::downgrade(self);
         let stop_t = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("dcdb-alert-ticker".into())
+            .name(name.into())
             .spawn(move || {
+                // sleep in short slices so drop/stop is prompt even with
+                // multi-second intervals
                 let slice = interval.min(Duration::from_millis(50)).max(Duration::from_millis(1));
                 let mut elapsed = Duration::ZERO;
                 loop {
@@ -144,15 +162,14 @@ impl CollectAgent {
                     }
                     elapsed = Duration::ZERO;
                     let Some(agent) = weak.upgrade() else { return };
-                    let Some(engine) = agent.alert_engine() else { continue };
                     let now = std::time::SystemTime::now()
                         .duration_since(std::time::UNIX_EPOCH)
                         .map(|d| d.as_nanos() as i64)
                         .unwrap_or(0);
-                    engine.tick(now, Some(&agent.sensor_db()));
+                    f(&agent, now);
                 }
             })
-            .expect("spawn alert-ticker thread");
+            .expect("spawn periodic agent thread");
         SelfMonitor { stop, handle: Some(handle) }
     }
 
@@ -328,37 +345,10 @@ impl CollectAgent {
     /// The thread holds only a [`Weak`] reference and exits on its own once
     /// the agent is dropped (or when the returned handle is).
     pub fn start_self_monitor(self: &Arc<Self>, node: &str, interval: Duration) -> SelfMonitor {
-        let stop = Arc::new(AtomicBool::new(false));
-        let weak: Weak<CollectAgent> = Arc::downgrade(self);
         let node = node.to_string();
-        let stop_t = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("dcdb-self-monitor".into())
-            .spawn(move || {
-                // sleep in short slices so drop/stop is prompt even with
-                // multi-second scrape intervals
-                let slice = interval.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                let mut elapsed = Duration::ZERO;
-                loop {
-                    std::thread::sleep(slice);
-                    if stop_t.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    elapsed += slice;
-                    if elapsed < interval {
-                        continue;
-                    }
-                    elapsed = Duration::ZERO;
-                    let Some(agent) = weak.upgrade() else { return };
-                    let ts = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_nanos() as i64)
-                        .unwrap_or(0);
-                    agent.publish_self_metrics(&node, ts);
-                }
-            })
-            .expect("spawn self-monitor thread");
-        SelfMonitor { stop, handle: Some(handle) }
+        self.spawn_periodic("dcdb-self-monitor", interval, move |agent, now| {
+            agent.publish_self_metrics(&node, now);
+        })
     }
 }
 

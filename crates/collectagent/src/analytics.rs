@@ -245,7 +245,7 @@ impl Operator for RateOfChange {
 /// `dcdb-query` [`Moments`] per epoch-aligned window and, when a reading
 /// crosses into the next window, emits the *closed* window's statistic
 /// under `/analytics/<agg><topic>` (stamped at the window start) — the
-/// streaming twin of the offline `query_aggregate` path, sharing its
+/// streaming twin of the offline windowed `SensorDb::execute` path, sharing its
 /// accumulator so both report identical numbers.
 pub struct WindowedStats {
     agg: AggFn,

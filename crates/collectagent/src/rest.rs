@@ -39,7 +39,6 @@ use dcdb_core::{QueryError, QueryRequest};
 use dcdb_http::json::Json;
 use dcdb_http::server::{HttpServer, Method, Response, StatusCode};
 use dcdb_http::Router;
-use dcdb_store::reading::TimeRange;
 
 use crate::agent::CollectAgent;
 
@@ -81,38 +80,18 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
 
     let db = agent.sensor_db();
     r.add(Method::Get, "/aggregate", move |req| {
-        let Some(topic) = req.query_param("topic") else {
-            return Response::error(StatusCode::BadRequest, "missing topic");
-        };
-        let Some(agg) = req.query_param("agg").and_then(dcdb_query::AggFn::parse) else {
-            return Response::error(StatusCode::BadRequest, "missing or unknown agg");
-        };
-        let Some(window_ns) =
-            req.query_param("window").and_then(dcdb_query::parse_duration_ns).filter(|&w| w > 0)
-        else {
-            return Response::error(StatusCode::BadRequest, "missing or bad window");
-        };
-        let start = req.query_parsed("start", 0i64);
-        let end = req.query_parsed("end", i64::MAX);
-        if start >= end {
-            return Response::error(StatusCode::BadRequest, "start must precede end");
-        }
         // exact topic or sub-tree fan-in, through the unified query path
-        let mut qreq =
-            QueryRequest::new(topic).range(TimeRange::new(start, end)).aggregate(agg, window_ns);
-        let grouped = req.query_param("groupby").is_some();
-        if grouped {
-            let Some(level) = req.query_param("groupby").and_then(|v| v.parse().ok()) else {
-                return Response::error(StatusCode::BadRequest, "bad groupby level");
-            };
-            qreq = qreq.group_by(level);
-        }
+        let qreq = match QueryRequest::from_url(req) {
+            Ok(qreq) => qreq,
+            Err(e) => return e.to_response(),
+        };
+        let (Some(agg), Some(window_ns)) = (qreq.agg, qreq.window_ns) else {
+            return QueryError::InvalidRequest("missing agg or window".into()).to_response();
+        };
+        let (topic, grouped) = (qreq.target.as_str(), qreq.group_by.is_some());
         let resp = match db.execute(&qreq) {
             Ok(resp) => resp,
-            Err(e @ (QueryError::MixedUnits { .. } | QueryError::InvalidRequest(_))) => {
-                return Response::error(StatusCode::BadRequest, &e.to_string());
-            }
-            Err(e) => return Response::error(StatusCode::InternalError, &e.to_string()),
+            Err(e) => return e.to_response(),
         };
         let sensors: usize = resp.series.iter().map(|s| s.sensors).sum();
         let datapoints = |readings: &[dcdb_store::reading::Reading]| {

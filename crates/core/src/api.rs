@@ -8,9 +8,9 @@
 //! All querying funnels through **one execution path**:
 //! [`SensorDb::execute`] takes a typed [`QueryRequest`] (exact topic,
 //! prefix fan-in, windowed or interpolated aggregation, group-by with
-//! parallel per-group evaluation) and returns a [`QueryResponse`].  The
-//! older `query`/`query_subtree`/`query_aggregate`/`aggregate_subtree`
-//! methods survive as thin wrappers that build the equivalent request.
+//! parallel per-group evaluation) and returns a [`QueryResponse`].
+//! [`SensorDb::query`] is the one convenience on top: the raw readings of a
+//! single topic.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -291,18 +291,23 @@ impl SensorDb {
         v
     }
 
-    /// Query a sensor (physical or virtual) in `[start, end)`.
+    /// Raw readings of one sensor (physical or virtual) in `[start, end)` —
+    /// [`SensorDb::execute`] with an exact-topic request, unwrapped to its
+    /// single series.
     ///
     /// Physical sensors apply their metadata scale; virtual sensors are
     /// evaluated lazily over the queried period only (paper §3.2).
-    /// Thin wrapper over [`SensorDb::execute`] with an exact-topic request.
     ///
     /// # Errors
     /// Virtual-sensor evaluation errors propagate; unknown physical topics
     /// yield an empty series.
     pub fn query(self: &Arc<Self>, topic: &str, range: TimeRange) -> Result<Series, VsError> {
-        let req = QueryRequest::topic(topic).range(range).lenient_units();
-        Ok(self.execute(&req).map_err(legacy_err)?.into_single())
+        match self.execute(&QueryRequest::topic(topic).range(range)) {
+            Ok(resp) => Ok(resp.into_single()),
+            Err(QueryError::Virtual(e)) => Err(e),
+            // a raw exact-topic request always validates and folds no units
+            Err(other) => Err(VsError::Parse { pos: 0, message: other.to_string() }),
+        }
     }
 
     /// Latest reading of a physical sensor.
@@ -316,75 +321,8 @@ impl SensorDb {
         self.registry.sids_under(prefix)
     }
 
-    /// Query every sensor below `prefix` in one call — the holistic
-    /// cross-source correlation pattern ("aggregate the power sensors of
-    /// individual compute nodes", paper §3.2).  Virtual sensors are not
-    /// included (they live outside the physical hierarchy).
-    /// Thin wrapper over [`SensorDb::execute`] with a sub-tree request.
-    ///
-    /// # Errors
-    /// Propagates per-sensor query failures.
-    pub fn query_subtree(
-        self: &Arc<Self>,
-        prefix: &str,
-        range: TimeRange,
-    ) -> Result<Vec<Series>, VsError> {
-        let req = QueryRequest::subtree(prefix).range(range).lenient_units();
-        Ok(self.execute(&req).map_err(legacy_err)?.into_series())
-    }
-
-    /// Windowed aggregation with pushdown: `avg`/`min`/`max`/`sum`/`count`/
-    /// `stddev`/`quantile`/`rate` of a sensor — or of *every* sensor under a
-    /// prefix (sensor-tree fan-in, "avg power per rack") — over fixed
-    /// `window_ns` windows within `range`.
-    ///
-    /// The heavy lifting happens in `dcdb-query`: compressed SSTable blocks
-    /// whose headers do not intersect `range` are never decompressed.
-    /// Metadata scales apply per sensor before aggregation; the result unit
-    /// is the (first) sensor's unit, mapped through
-    /// [`Unit::rate_unit`] for `rate` (J → W, B → B/s, counts → Hz).
-    /// Virtual sensor topics are evaluated over `range` first and then
-    /// windowed like any other series.
-    ///
-    /// # Errors
-    /// Virtual-sensor evaluation errors propagate; unknown topics yield an
-    /// empty series.
-    pub fn query_aggregate(
-        self: &Arc<Self>,
-        topic_or_prefix: &str,
-        range: TimeRange,
-        window_ns: i64,
-        agg: dcdb_query::AggFn,
-    ) -> Result<Series, VsError> {
-        assert!(window_ns > 0, "window must be positive, got {window_ns}");
-        let req = QueryRequest::new(topic_or_prefix)
-            .range(range)
-            .aggregate(agg, window_ns)
-            .lenient_units();
-        Ok(self.execute(&req).map_err(legacy_err)?.into_single())
-    }
-
-    /// Sum all sensors below `prefix` on the union of their timestamps with
-    /// linear interpolation — a one-shot aggregate without defining a
-    /// virtual sensor (rack power, system power, ...).  Thin wrapper over
-    /// [`SensorDb::execute`] with an interpolated-sum sub-tree request.
-    ///
-    /// # Errors
-    /// Propagates per-sensor query failures.
-    pub fn aggregate_subtree(
-        self: &Arc<Self>,
-        prefix: &str,
-        range: TimeRange,
-    ) -> Result<Series, VsError> {
-        let req = QueryRequest::subtree(prefix)
-            .range(range)
-            .aggregate_interpolated(AggFn::Sum)
-            .lenient_units();
-        Ok(self.execute(&req).map_err(legacy_err)?.into_single())
-    }
-
     /// Execute a typed [`QueryRequest`] — **the** query path every surface
-    /// (Grafana, REST, CLI, analytics, the legacy wrappers) goes through.
+    /// (Grafana, REST, CLI, analytics) goes through.
     ///
     /// * Without an aggregation the response holds raw series, one per
     ///   resolved sensor (metadata scales applied).
@@ -552,7 +490,7 @@ impl SensorDb {
             });
         }
         // exact targeting always answers with one series, even for unknown
-        // topics (the legacy `query` contract)
+        // topics
         if req.mode == TargetMode::Exact && series.is_empty() {
             let meta = self.meta(norm);
             series.push(GroupSeries {
@@ -751,8 +689,8 @@ fn partition(
 ) -> Vec<ResolvedGroup> {
     match group_by {
         None => {
-            // keep the legacy naming: a single resolved sensor is named by
-            // its own topic, a fan-in by the queried prefix
+            // a single resolved sensor is named by its own topic, a fan-in
+            // by the queried prefix
             let base = if targets.len() == 1 { targets[0].0.clone() } else { norm.to_string() };
             vec![(None, base, targets)]
         }
@@ -813,8 +751,8 @@ fn interpolated_fold(slices: &[&[Reading]], agg: AggFn) -> Vec<Reading> {
             samples.clear();
             samples.extend(slices.iter().filter_map(|s| crate::interp::sample_at(s, ts)));
             let value = match agg {
-                // the sum folds in slice order, exactly like the legacy
-                // aggregate_subtree, so results stay bit-identical
+                // the sum folds in slice order (registry order of the
+                // sensors), so results are reproducible bit for bit
                 AggFn::Sum => samples.iter().sum(),
                 AggFn::Avg => samples.iter().sum::<f64>() / samples.len().max(1) as f64,
                 AggFn::Min => samples.iter().copied().fold(f64::INFINITY, f64::min),
@@ -880,17 +818,6 @@ fn finalize(response: &mut QueryResponse, req: &QueryRequest) {
     }
 }
 
-/// Legacy wrappers pre-validate their requests and run with lenient units,
-/// so only virtual-sensor errors can surface.
-fn legacy_err(e: QueryError) -> VsError {
-    match e {
-        QueryError::Virtual(e) => e,
-        // defensive: the wrappers pre-validate, so a non-virtual error here
-        // is a bug — surface it as an error value, not a panic
-        other => VsError::Parse { pos: 0, message: other.to_string() },
-    }
-}
-
 /// For `rate`, the unit-aware conversion factor and output unit; identity
 /// for every other aggregation.
 fn rate_adjust(agg: dcdb_query::AggFn, unit: Unit) -> (f64, Unit) {
@@ -913,6 +840,19 @@ fn apply_scale(readings: &mut [Reading], scale: f64) {
 mod tests {
     use super::*;
     use dcdb_query::AggFn;
+
+    /// The single series of a windowed aggregation over a topic or prefix.
+    fn windowed(
+        db: &Arc<SensorDb>,
+        target: &str,
+        range: TimeRange,
+        window_ns: i64,
+        agg: AggFn,
+    ) -> Series {
+        db.execute(&QueryRequest::new(target).range(range).aggregate(agg, window_ns))
+            .unwrap()
+            .into_single()
+    }
 
     #[test]
     fn insert_query_roundtrip() {
@@ -959,14 +899,13 @@ mod tests {
         for ts in 0..100i64 {
             db.insert("/r0/n0/power", ts * 1_000_000_000, (ts % 10) as f64).unwrap();
         }
-        let s = db
-            .query_aggregate(
-                "/r0/n0/power",
-                TimeRange::new(0, 100_000_000_000),
-                10_000_000_000,
-                AggFn::Avg,
-            )
-            .unwrap();
+        let s = windowed(
+            &db,
+            "/r0/n0/power",
+            TimeRange::new(0, 100_000_000_000),
+            10_000_000_000,
+            AggFn::Avg,
+        );
         assert_eq!(s.readings.len(), 10);
         assert!(s.readings.iter().all(|r| (r.value - 4.5).abs() < 1e-12));
         assert_eq!(s.topic, "/r0/n0/power/+avg");
@@ -981,15 +920,11 @@ mod tests {
                     .unwrap();
             }
         }
-        let s = db
-            .query_aggregate("/r0", TimeRange::new(0, 60_000_000_000), 60_000_000_000, AggFn::Avg)
-            .unwrap();
+        let s = windowed(&db, "/r0", TimeRange::new(0, 60_000_000_000), 60_000_000_000, AggFn::Avg);
         assert_eq!(s.readings.len(), 1);
         assert!((s.readings[0].value - 101.5).abs() < 1e-12);
         // sum fan-in: 60 readings × (100+101+102+103)
-        let s = db
-            .query_aggregate("/r0", TimeRange::new(0, 60_000_000_000), 60_000_000_000, AggFn::Sum)
-            .unwrap();
+        let s = windowed(&db, "/r0", TimeRange::new(0, 60_000_000_000), 60_000_000_000, AggFn::Sum);
         assert_eq!(s.readings[0].value, 60.0 * 406.0);
     }
 
@@ -1004,14 +939,13 @@ mod tests {
             "/n0/energy",
             SensorMeta { unit: Unit::JOULE, scale: 1e-6, description: String::new() },
         );
-        let s = db
-            .query_aggregate(
-                "/n0/energy",
-                TimeRange::new(0, 11_000_000_000),
-                20_000_000_000,
-                AggFn::Rate,
-            )
-            .unwrap();
+        let s = windowed(
+            &db,
+            "/n0/energy",
+            TimeRange::new(0, 11_000_000_000),
+            20_000_000_000,
+            AggFn::Rate,
+        );
         // 100 J per second → 100 W, unit-aware
         assert_eq!(s.unit, Unit::WATT);
         assert!((s.readings[0].value - 100.0).abs() < 1e-9, "{:?}", s.readings);
@@ -1025,7 +959,7 @@ mod tests {
             db.insert("/a/y", ts, 2.0).unwrap();
         }
         db.define_virtual("/v/sum", "\"/a/x\" + \"/a/y\"", Unit::WATT).unwrap();
-        let s = db.query_aggregate("/v/sum", TimeRange::new(0, 10), 100, AggFn::Max).unwrap();
+        let s = windowed(&db, "/v/sum", TimeRange::new(0, 10), 100, AggFn::Max);
         assert_eq!(s.readings.len(), 1);
         assert_eq!(s.readings[0].value, 3.0);
         assert_eq!(s.unit, Unit::WATT);
@@ -1034,7 +968,7 @@ mod tests {
     #[test]
     fn aggregate_unknown_topic_is_empty() {
         let db = SensorDb::in_memory();
-        let s = db.query_aggregate("/no/such", TimeRange::all(), 1_000, AggFn::Avg).unwrap();
+        let s = windowed(&db, "/no/such", TimeRange::all(), 1_000, AggFn::Avg);
         assert!(s.readings.is_empty());
     }
 
@@ -1074,14 +1008,13 @@ mod tests {
         assert!((r1.series.readings[0].value - 201.0).abs() < 1e-9);
         // every group is bit-identical to the equivalent ungrouped fan-in
         for (rack, group) in resp.series.iter().enumerate() {
-            let solo = db
-                .query_aggregate(
-                    &format!("/sys/rack{rack}"),
-                    TimeRange::new(0, 60_000_000_000),
-                    60_000_000_000,
-                    AggFn::Avg,
-                )
-                .unwrap();
+            let solo = windowed(
+                &db,
+                &format!("/sys/rack{rack}"),
+                TimeRange::new(0, 60_000_000_000),
+                60_000_000_000,
+                AggFn::Avg,
+            );
             assert_eq!(group.series.readings, solo.readings);
         }
     }
@@ -1124,9 +1057,8 @@ mod tests {
         };
         assert_eq!(group, "/sys/rack0");
         assert_eq!(units, vec!["W", "J"]);
-        // the legacy wrapper keeps the old lenient first-unit behaviour
-        let s =
-            db.query_aggregate("/sys/rack0", TimeRange::all(), 60_000_000_000, AggFn::Avg).unwrap();
+        // lenient units: the first sensor's unit wins
+        let s = db.execute(&req.lenient_units()).unwrap().into_single();
         assert_eq!(s.unit, Unit::WATT);
     }
 
@@ -1148,13 +1080,16 @@ mod tests {
     }
 
     #[test]
-    fn execute_interpolated_generalises_aggregate_subtree() {
+    fn execute_interpolated_folds_per_grid_point() {
         let db = two_rack_db();
         let sum = db
             .execute(&QueryRequest::subtree("/sys/rack0").aggregate_interpolated(AggFn::Sum))
             .unwrap();
-        let legacy = db.aggregate_subtree("/sys/rack0", TimeRange::all()).unwrap();
-        assert_eq!(sum.clone().into_single().readings, legacy.readings);
+        // one point per timestamp of the union grid, each the sum of the
+        // rack's three sensors (100 + 101 + 102)
+        let want: Vec<Reading> =
+            (0..60i64).map(|ts| Reading::new(ts * 1_000_000_000, 303.0)).collect();
+        assert_eq!(sum.series[0].series.readings, want);
         assert_eq!(sum.series[0].series.topic, "/sys/rack0/+sum");
         // and beyond sum: the per-grid-point maximum
         let max = db

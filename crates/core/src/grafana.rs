@@ -35,11 +35,10 @@ use std::sync::Arc;
 use dcdb_http::json::Json;
 use dcdb_http::server::{HttpServer, Method, Response, StatusCode};
 use dcdb_http::Router;
-use dcdb_store::reading::TimeRange;
 
 use crate::api::{SensorDb, Series};
 use crate::ops;
-use crate::request::{QueryError, QueryRequest};
+use crate::request::QueryRequest;
 
 /// Build the data-source router over `db`.
 pub fn router(db: Arc<SensorDb>) -> Router {
@@ -56,76 +55,43 @@ pub fn router(db: Arc<SensorDb>) -> Router {
 
     let d = Arc::clone(&db);
     r.add(Method::Get, "/query", move |req| {
-        let Some(topic) = req.query_param("topic") else {
-            return Response::error(StatusCode::BadRequest, "missing topic");
+        let mut q = match QueryRequest::from_url(req) {
+            Ok(q) => q,
+            Err(e) => return e.to_response(),
         };
-        let start = req.query_parsed("start", 0i64);
-        let end = req.query_parsed("end", i64::MAX);
         let max_points = req.query_parsed("maxDataPoints", 1_000usize);
-        if start >= end {
-            return Response::error(StatusCode::BadRequest, "start must precede end");
+        // Grafana sends its panel resolution as intervalMs with every
+        // request: a raw series has no use for it, and an aggregation
+        // without it spreads the range over maxDataPoints windows
+        if q.agg.is_none() {
+            q.window_ns = None;
+        } else if q.window_ns.is_none() {
+            q.window_ns = Some((q.range.duration() / max_points.max(1) as i64).max(1));
         }
-        let range = TimeRange::new(start, end);
-        match req.query_param("agg") {
-            Some(name) => {
-                let Some(agg) = dcdb_query::AggFn::parse(name) else {
-                    return Response::error(StatusCode::BadRequest, "unknown agg");
-                };
-                // Grafana sends its panel resolution as intervalMs; fall
-                // back to spreading the range over maxDataPoints windows
-                let window_ns = req
-                    .query_param("intervalMs")
-                    .and_then(|v| v.parse::<i64>().ok())
-                    .map(|ms| ms.saturating_mul(1_000_000))
-                    .unwrap_or_else(|| range.duration() / max_points.max(1) as i64)
-                    .max(1);
-                let mut qreq = QueryRequest::new(topic).range(range).aggregate(agg, window_ns);
-                let grouped = req.query_param("groupBy").is_some();
-                if grouped {
-                    let Some(level) = req.query_param("groupBy").and_then(|v| v.parse().ok())
-                    else {
-                        return Response::error(StatusCode::BadRequest, "bad groupBy level");
-                    };
-                    qreq = qreq.group_by(level);
-                }
-                match d.execute(&qreq) {
-                    // grouped responses are an array of tagged series;
-                    // ungrouped keep the single-object shape.  Aggregated
-                    // readings are already windowed — no downsampling,
-                    // averaging per-window maxima would change their meaning
-                    Ok(resp) if grouped => {
-                        let series: Vec<Json> = resp
-                            .series
-                            .iter()
-                            .map(|g| {
-                                let mut obj = series_obj(&g.series, None);
-                                obj.insert(
-                                    "group".into(),
-                                    Json::str(g.key.clone().unwrap_or_default()),
-                                );
-                                obj.insert("sensors".into(), Json::Num(g.sensors as f64));
-                                Json::Obj(obj)
-                            })
-                            .collect();
-                        Response::json(&Json::Arr(series))
-                    }
-                    Ok(resp) => Response::json(&series_json(&resp.into_single(), None)),
-                    Err(e @ (QueryError::MixedUnits { .. } | QueryError::InvalidRequest(_))) => {
-                        Response::error(StatusCode::BadRequest, &e.to_string())
-                    }
-                    Err(e) => Response::error(StatusCode::InternalError, &e.to_string()),
-                }
+        match d.execute(&q) {
+            // grouped responses are an array of tagged series; ungrouped
+            // keep the single-object shape
+            Ok(resp) if q.group_by.is_some() => {
+                let series: Vec<Json> = resp
+                    .series
+                    .iter()
+                    .map(|g| {
+                        let mut obj = series_obj(&g.series, None);
+                        obj.insert("group".into(), Json::str(g.key.clone().unwrap_or_default()));
+                        obj.insert("sensors".into(), Json::Num(g.sensors as f64));
+                        Json::Obj(obj)
+                    })
+                    .collect();
+                Response::json(&Json::Arr(series))
             }
-            None if req.query_param("groupBy").is_some() => {
-                // mirror QueryRequest::validate rather than dropping the
-                // grouping the client asked for
-                Response::error(StatusCode::BadRequest, "groupBy needs an agg")
+            Ok(resp) => {
+                // raw series downsample to the panel resolution by bucket
+                // means; aggregated readings are already windowed, and
+                // averaging per-window maxima would change their meaning
+                let downsample = q.agg.is_none().then_some(max_points);
+                Response::json(&series_json(&resp.into_single(), downsample))
             }
-            None => match d.query(topic, range) {
-                // raw series downsample to the panel resolution by bucket means
-                Ok(series) => Response::json(&series_json(&series, Some(max_points))),
-                Err(e) => Response::error(StatusCode::InternalError, &e.to_string()),
-            },
+            Err(e) => e.to_response(),
         }
     });
 
@@ -145,12 +111,11 @@ pub fn router(db: Arc<SensorDb>) -> Router {
 
     let d = Arc::clone(&db);
     r.add(Method::Get, "/stats", move |req| {
-        let Some(topic) = req.query_param("topic") else {
-            return Response::error(StatusCode::BadRequest, "missing topic");
+        let q = match QueryRequest::from_url(req) {
+            Ok(q) => q,
+            Err(e) => return e.to_response(),
         };
-        let start = req.query_parsed("start", 0i64);
-        let end = req.query_parsed("end", i64::MAX);
-        match d.query(topic, TimeRange::new(start, end)) {
+        match d.query(&q.target, q.range) {
             Ok(series) => match ops::stats(&series.readings) {
                 Some(st) => Response::json(&Json::obj([
                     ("count", Json::Num(st.count as f64)),
@@ -330,6 +295,7 @@ pub fn serve(db: Arc<SensorDb>, bind: SocketAddr) -> std::io::Result<HttpServer>
 mod tests {
     use super::*;
     use dcdb_http::server::Request;
+    use dcdb_store::reading::TimeRange;
     use std::collections::HashMap;
 
     fn handler() -> (Arc<SensorDb>, dcdb_http::server::Handler) {
@@ -402,6 +368,14 @@ mod tests {
         assert_eq!(get(&h, "/query", &[("topic", "/x"), ("start", "9"), ("end", "1")]).0, 400);
         assert_eq!(get(&h, "/query", &[("topic", "/x"), ("agg", "bogus")]).0, 400);
         assert_eq!(get(&h, "/stats", &[("topic", "/nope/x")]).0, 404);
+        // a reversed range used to reach TimeRange::new's assert and kill
+        // the connection thread
+        let (code, j) = get(&h, "/stats", &[("topic", "/x"), ("start", "5"), ("end", "1")]);
+        assert_eq!(code, 400);
+        assert_eq!(
+            j.get("error").unwrap().as_str(),
+            Some("invalid request: start must precede end")
+        );
     }
 
     #[test]
@@ -426,13 +400,13 @@ mod tests {
         assert_eq!(dp[0].idx(0).unwrap().as_f64(), Some(201.0));
         // the endpoint reports exactly what the library API computes
         let lib = db
-            .query_aggregate(
-                "/lrz/sys/rack0/node1/power",
-                TimeRange::new(0, 100_000_000),
-                10_000_000,
-                dcdb_query::AggFn::Avg,
+            .execute(
+                &QueryRequest::new("/lrz/sys/rack0/node1/power")
+                    .range(TimeRange::new(0, 100_000_000))
+                    .aggregate(dcdb_query::AggFn::Avg, 10_000_000),
             )
-            .unwrap();
+            .unwrap()
+            .into_single();
         assert_eq!(lib.readings.len(), dp.len());
         for (r, p) in lib.readings.iter().zip(dp) {
             assert_eq!(p.idx(0).unwrap().as_f64(), Some(r.value));
@@ -562,8 +536,10 @@ mod tests {
     #[test]
     fn metrics_expose_prometheus_text() {
         let (db, h) = handler();
-        db.query_aggregate("/lrz/sys/rack0", TimeRange::all(), 10_000_000, dcdb_query::AggFn::Avg)
-            .unwrap();
+        db.execute(
+            &QueryRequest::new("/lrz/sys/rack0").aggregate(dcdb_query::AggFn::Avg, 10_000_000),
+        )
+        .unwrap();
         let req = Request {
             method: Method::Get,
             path: "/metrics".to_string(),
@@ -664,8 +640,10 @@ mod tests {
         assert_eq!(j.get("thresholdNs").unwrap().as_f64(), Some(0.0));
         assert!(j.get("queries").unwrap().as_arr().unwrap().is_empty());
         db.slow_queries().set_threshold_ns(1);
-        db.query_aggregate("/lrz/sys/rack0", TimeRange::all(), 10_000_000, dcdb_query::AggFn::Avg)
-            .unwrap();
+        db.execute(
+            &QueryRequest::new("/lrz/sys/rack0").aggregate(dcdb_query::AggFn::Avg, 10_000_000),
+        )
+        .unwrap();
         let (_, j) = get(&h, "/debug/slow_queries", &[]);
         let queries = j.get("queries").unwrap().as_arr().unwrap();
         assert_eq!(queries.len(), 1);

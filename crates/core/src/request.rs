@@ -4,17 +4,16 @@
 //! (§3.2, §4.3); this module is that surface.  Every consumer — the Grafana
 //! data source, the Collect Agent's REST API, `dcdbquery`, the analytics
 //! operators — builds a [`QueryRequest`] and hands it to
-//! [`SensorDb::execute`](crate::SensorDb::execute); the legacy
-//! `query`/`query_subtree`/`query_aggregate`/`aggregate_subtree` methods are
-//! thin wrappers over the same path.
+//! [`SensorDb::execute`](crate::SensorDb::execute).  The text surfaces (URL
+//! query strings, CLI flags) all parse through
+//! [`QueryRequest::from_params`], which owns the accepted spellings.
 //!
 //! A request names a *target* (exact topic, hierarchy prefix, or
 //! auto-detect), a [`TimeRange`], and optionally:
 //!
 //! * an aggregation ([`AggFn`]) with a window (`window_ns`) for windowed
 //!   pushdown aggregation, or without one for interpolated union-grid
-//!   aggregation (the old `aggregate_subtree` semantics, generalised beyond
-//!   `sum`),
+//!   aggregation,
 //! * a `group_by` hierarchy level: instead of fanning the whole sub-tree
 //!   into one series, sensors partition by their topic's first `level`
 //!   components and every group aggregates into its own series —
@@ -53,6 +52,7 @@
 
 use std::fmt;
 
+use dcdb_http::server::{Response, StatusCode};
 use dcdb_query::AggFn;
 use dcdb_store::reading::TimeRange;
 
@@ -63,17 +63,15 @@ use crate::vsensor::VsError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetMode {
     /// Exact topic only — an unknown topic yields an empty series, never a
-    /// sub-tree fan-out (the behaviour of the legacy `query`).
+    /// sub-tree fan-out.
     Exact,
     /// Exact topic when one is registered under the target, else fan out
-    /// over the sub-tree below it (the behaviour of the legacy
-    /// `query_aggregate`).
+    /// over the sub-tree below it.
     #[default]
     Auto,
     /// Always fan out over the sub-tree below the target, even when the
-    /// target itself names a sensor (the behaviour of the legacy
-    /// `query_subtree`).  Virtual sensors live outside the physical
-    /// hierarchy and are not consulted.
+    /// target itself names a sensor.  Virtual sensors live outside the
+    /// physical hierarchy and are not consulted.
     Subtree,
 }
 
@@ -85,8 +83,7 @@ pub enum UnitMode {
     /// instead of a silently wrong unit label.
     #[default]
     Strict,
-    /// The pre-redesign behaviour: the first sensor's unit wins, silently.
-    /// Only the legacy wrappers use this.
+    /// The first sensor's unit wins, silently.
     Lenient,
 }
 
@@ -177,8 +174,7 @@ impl QueryRequest {
     }
 
     /// Union-grid aggregation: interpolate every sensor onto the union of
-    /// their timestamps and fold `agg` over the samples at each grid point
-    /// (the legacy `aggregate_subtree`, generalised beyond `sum`).
+    /// their timestamps and fold `agg` over the samples at each grid point.
     pub fn aggregate_interpolated(mut self, agg: AggFn) -> QueryRequest {
         self.agg = Some(agg);
         self.window_ns = None;
@@ -203,7 +199,7 @@ impl QueryRequest {
         self
     }
 
-    /// Use the legacy first-unit-wins behaviour under fan-in.
+    /// Let the first sensor's unit win under fan-in ([`UnitMode::Lenient`]).
     pub fn lenient_units(mut self) -> QueryRequest {
         self.units = UnitMode::Lenient;
         self
@@ -214,6 +210,78 @@ impl QueryRequest {
     pub fn traced(mut self) -> QueryRequest {
         self.trace = true;
         self
+    }
+
+    /// Parse a request from named text parameters — a URL query string or
+    /// CLI flags, looked up through `param`.  This is the one place the
+    /// accepted spellings live:
+    ///
+    /// | parameter | spellings | value |
+    /// |---|---|---|
+    /// | target | `topic` | sensor topic or hierarchy prefix (required) |
+    /// | range | `start`, `end` | nanoseconds; `default_range` where absent |
+    /// | aggregation | `agg` | any [`AggFn`] name |
+    /// | window | `window` \| `intervalMs` | a duration (`30s`, `5m`, bare ns) \| milliseconds |
+    /// | grouping | `groupby` \| `groupBy` \| `group-by` | hierarchy level |
+    ///
+    /// A raw request (no `agg`) targets exactly the topic; an aggregated one
+    /// resolves with [`TargetMode::Auto`].  What an endpoint does about an
+    /// absent window — fall back, refuse — is the endpoint's business: the
+    /// request comes back with `window_ns: None`.
+    ///
+    /// # Errors
+    /// [`QueryError::InvalidRequest`] for a missing topic, any value that
+    /// does not parse, a non-positive window, or `start >= end`.
+    pub fn from_params<'a>(
+        param: impl Fn(&str) -> Option<&'a str>,
+        default_range: TimeRange,
+    ) -> Result<QueryRequest, QueryError> {
+        let bad = |what: &str| QueryError::InvalidRequest(what.to_string());
+        let topic = param("topic").ok_or_else(|| bad("missing topic"))?;
+        let bound = |name: &str, default: i64| {
+            param(name).map_or(Ok(default), |v| v.parse().map_err(|_| bad(&format!("bad {name}"))))
+        };
+        let start = bound("start", default_range.start)?;
+        let end = bound("end", default_range.end)?;
+        if start >= end {
+            return Err(bad("start must precede end"));
+        }
+        let agg = param("agg")
+            .map(|name| AggFn::parse(name).ok_or_else(|| bad("unknown agg")))
+            .transpose()?;
+        let window_ns = match (param("window"), param("intervalMs")) {
+            (Some(dur), _) => Some(dcdb_query::parse_duration_ns(dur)),
+            (None, Some(ms)) => {
+                Some(ms.parse::<i64>().ok().and_then(|ms| ms.checked_mul(1_000_000)))
+            }
+            (None, None) => None,
+        }
+        .map(|w| w.filter(|&w| w > 0).ok_or_else(|| bad("bad window")))
+        .transpose()?;
+        let group_by = ["groupby", "groupBy", "group-by"]
+            .iter()
+            .find_map(|name| param(name))
+            .map(|level| level.parse::<usize>().map_err(|_| bad("bad group-by level")))
+            .transpose()?;
+        Ok(QueryRequest {
+            mode: if agg.is_some() { TargetMode::Auto } else { TargetMode::Exact },
+            range: TimeRange::new(start, end),
+            agg,
+            window_ns,
+            group_by,
+            ..QueryRequest::new(topic)
+        })
+    }
+
+    /// The request an HTTP request's query string spells (see
+    /// [`from_params`](Self::from_params)); without `start`/`end` it covers
+    /// everything since the epoch.
+    ///
+    /// # Errors
+    /// [`QueryError::InvalidRequest`], which [`QueryError::to_response`]
+    /// turns into a `400`.
+    pub fn from_url(req: &dcdb_http::server::Request) -> Result<QueryRequest, QueryError> {
+        QueryRequest::from_params(|name| req.query_param(name), TimeRange::new(0, i64::MAX))
     }
 
     /// Check the request's internal consistency (ranges, windows, group-by
@@ -268,6 +336,18 @@ pub enum QueryError {
     InvalidRequest(String),
     /// Virtual-sensor evaluation failed.
     Virtual(VsError),
+}
+
+impl QueryError {
+    /// The HTTP response for a failed query: `400` when the request itself
+    /// was at fault, `500` otherwise, with the error text as the body.
+    pub fn to_response(&self) -> Response {
+        let status = match self {
+            QueryError::MixedUnits { .. } | QueryError::InvalidRequest(_) => StatusCode::BadRequest,
+            QueryError::Virtual(_) => StatusCode::InternalError,
+        };
+        Response::error(status, &self.to_string())
+    }
 }
 
 impl fmt::Display for QueryError {
@@ -325,20 +405,13 @@ impl QueryResponse {
         self.len() == 0
     }
 
-    /// Collapse into a single [`Series`] — the shape of the legacy
-    /// single-series APIs.  Panics are avoided: an empty response yields an
-    /// empty default series.
+    /// Collapse into a single [`Series`]: the first one, or an empty
+    /// default series for an empty response.
     pub fn into_single(mut self) -> Series {
         if self.series.is_empty() {
             return Series { topic: String::new(), readings: Vec::new(), unit: Default::default() };
         }
         self.series.swap_remove(0).series
-    }
-
-    /// Unwrap into plain series, dropping group tags (legacy
-    /// `query_subtree` shape).
-    pub fn into_series(self) -> Vec<Series> {
-        self.series.into_iter().map(|g| g.series).collect()
     }
 }
 
@@ -366,8 +439,7 @@ mod tests {
 
     #[test]
     fn validation_catches_contradictions() {
-        // a degenerate range is valid — it just matches nothing (the
-        // legacy behaviour every wrapper relies on)
+        // a degenerate range is valid — it just matches nothing
         assert!(QueryRequest::new("/a").range(TimeRange::new(5, 5)).validate().is_ok());
         let groupby_raw = QueryRequest::new("/a").group_by(2);
         assert!(groupby_raw.validate().is_err());
@@ -379,6 +451,35 @@ mod tests {
         assert!(interp_rate.validate().is_err());
         let ok = QueryRequest::new("/a").aggregate_interpolated(AggFn::Sum);
         assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    fn from_params_defaults_and_rejections() {
+        fn parse(params: &[(&str, &str)]) -> Result<QueryRequest, QueryError> {
+            QueryRequest::from_params(
+                |name| params.iter().find(|(k, _)| *k == name).map(|&(_, v)| v),
+                TimeRange::new(0, i64::MAX),
+            )
+        }
+        // a raw request is exact and takes the caller's default range
+        assert_eq!(
+            parse(&[("topic", "/a")]),
+            Ok(QueryRequest::topic("/a").range(TimeRange::new(0, i64::MAX)))
+        );
+        // an absent window is left to the endpoint
+        assert_eq!(parse(&[("topic", "/a"), ("agg", "avg")]).unwrap().window_ns, None);
+        for params in [
+            &[][..],
+            &[("topic", "/a"), ("start", "9"), ("end", "1")],
+            &[("topic", "/a"), ("start", "5"), ("end", "5")],
+            &[("topic", "/a"), ("end", "soon")],
+            &[("topic", "/a"), ("agg", "bogus")],
+            &[("topic", "/a"), ("agg", "avg"), ("window", "eternity")],
+            &[("topic", "/a"), ("agg", "avg"), ("intervalMs", "0")],
+            &[("topic", "/a"), ("agg", "avg"), ("window", "1s"), ("groupBy", "x")],
+        ] {
+            assert!(matches!(parse(params), Err(QueryError::InvalidRequest(_))), "{params:?}");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Unit {
 
     /// The unit of this unit's per-second rate of change, with the factor
     /// that converts raw `value/s` rates into it — what makes
-    /// `SensorDb::query_aggregate`'s `rate` operator unit-aware:
+    /// the windowed `rate` aggregation of `SensorDb::execute` unit-aware:
     ///
     /// * energy counters (J, kWh, …) rate into **W** (power),
     /// * data counters (B, GB, …) rate into **B/s**,

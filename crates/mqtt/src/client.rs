@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::codec::{decode_packet, encode_packet, Packet, QoS};
@@ -97,13 +96,60 @@ pub struct ClientStats {
     pub reconnects: AtomicU64,
 }
 
+/// Packet ids of the QoS 1 publishes still waiting for their PUBACK.  A
+/// set rather than a queue: every [`Client::publish_qos1`] caller waits on
+/// its own pid, so none can consume the ack another is waiting for, and an
+/// ack nobody waits for (late, foreign) is dropped instead of kept for
+/// whoever draws that pid next.
+#[derive(Default)]
+struct PendingAcks {
+    // lint: allow(std-sync-lock) -- Condvar pairing: the vendored
+    // parking_lot stub has no Condvar
+    pids: std::sync::Mutex<Vec<u16>>,
+    acked: std::sync::Condvar,
+}
+
+impl PendingAcks {
+    /// Start waiting for `pid`'s ack — before the PUBLISH goes out, so the
+    /// ack cannot arrive first.
+    fn register(&self, pid: u16) {
+        self.pids.lock().expect("pending acks").push(pid);
+    }
+
+    /// The reader thread saw `pid`'s PUBACK.
+    fn deliver(&self, pid: u16) {
+        Self::forget(&mut self.pids.lock().expect("pending acks"), pid);
+        self.acked.notify_all();
+    }
+
+    /// Wait until `pid` has been acked; `false` once `deadline` passes
+    /// first, after which a late ack for it is dropped.
+    fn wait(&self, pid: u16, deadline: Instant) -> bool {
+        let mut pids = self.pids.lock().expect("pending acks");
+        while pids.contains(&pid) {
+            let now = Instant::now();
+            if now >= deadline {
+                Self::forget(&mut pids, pid);
+                return false;
+            }
+            pids = self.acked.wait_timeout(pids, deadline - now).expect("pending acks").0;
+        }
+        true
+    }
+
+    fn forget(pids: &mut Vec<u16>, pid: u16) {
+        if let Some(i) = pids.iter().position(|&p| p == pid) {
+            pids.swap_remove(i);
+        }
+    }
+}
+
 /// The blocking client.
 pub struct Client {
     cfg: ClientConfig,
     conn: Mutex<Option<Conn>>,
     next_pid: AtomicU16,
-    acks: Receiver<u16>,
-    acks_tx: Sender<u16>,
+    acks: Arc<PendingAcks>,
     on_message: Arc<Mutex<Option<MessageCallback>>>,
     stats: ClientStats,
     closed: AtomicBool,
@@ -115,13 +161,11 @@ impl Client {
     /// # Errors
     /// Fails when the TCP connection or the MQTT handshake fails.
     pub fn connect(cfg: ClientConfig) -> Result<Arc<Client>, ClientError> {
-        let (acks_tx, acks) = bounded(1024);
         let client = Arc::new(Client {
             cfg,
             conn: Mutex::new(None),
             next_pid: AtomicU16::new(1),
-            acks,
-            acks_tx,
+            acks: Arc::default(),
             on_message: Arc::new(Mutex::new(None)),
             stats: ClientStats::default(),
             closed: AtomicBool::new(false),
@@ -216,7 +260,7 @@ impl Client {
     }
 
     fn spawn_reader(&self, mut stream: TcpStream, stop: Arc<AtomicBool>) {
-        let acks_tx = self.acks_tx.clone();
+        let acks = Arc::clone(&self.acks);
         // The callback is looked up per message so it can be registered or
         // swapped after the connection is already up.
         let cb_slot = Arc::clone(&self.on_message);
@@ -232,9 +276,7 @@ impl Client {
                     }
                     while let Ok(Some(pkt)) = decode_packet(&mut buf) {
                         match pkt {
-                            Packet::Puback { pid } => {
-                                let _ = acks_tx.try_send(pid);
-                            }
+                            Packet::Puback { pid } => acks.deliver(pid),
                             Packet::Publish { topic, payload, .. } => {
                                 if let Some(cb) = cb_slot.lock().as_ref() {
                                     cb(&topic, &payload);
@@ -303,27 +345,25 @@ impl Client {
     /// Publish with QoS 1 and wait for the PUBACK.
     pub fn publish_qos1(&self, topic: &str, payload: &[u8]) -> Result<(), ClientError> {
         let pid = self.next_pid.fetch_add(1, Ordering::Relaxed).max(1);
-        self.send_packet(&Packet::Publish {
+        self.acks.register(pid);
+        let sent = self.send_packet(&Packet::Publish {
             topic: topic.to_string(),
             payload: Bytes::copy_from_slice(payload),
             qos: QoS::AtLeastOnce,
             retain: false,
             dup: false,
             pid: Some(pid),
-        })?;
+        });
+        if let Err(e) = sent {
+            self.acks.wait(pid, Instant::now()); // nothing went out: stop expecting
+            return Err(e);
+        }
         self.stats.published.fetch_add(1, Ordering::Relaxed);
         self.stats.published_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let deadline = Instant::now() + self.cfg.ack_timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ClientError::AckTimeout);
-            }
-            match self.acks.recv_timeout(deadline - now) {
-                Ok(got) if got == pid => return Ok(()),
-                Ok(_) => continue, // ack for an earlier pid
-                Err(_) => return Err(ClientError::AckTimeout),
-            }
+        if self.acks.wait(pid, Instant::now() + self.cfg.ack_timeout) {
+            Ok(())
+        } else {
+            Err(ClientError::AckTimeout)
         }
     }
 
@@ -356,5 +396,30 @@ impl Drop for Client {
         if !self.closed.load(Ordering::SeqCst) {
             self.disconnect();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pending_acks_are_matched_by_pid_not_arrival_order() {
+        let acks = PendingAcks::default();
+        let soon = || Instant::now() + Duration::from_millis(20);
+        for pid in [7, 8, 9] {
+            acks.register(pid);
+        }
+        acks.deliver(7);
+        acks.deliver(9);
+        assert!(!acks.wait(8, soon()), "nobody acked 8");
+        assert!(acks.wait(9, soon()), "9 is acked although 7 arrived first");
+        assert!(acks.wait(7, soon()));
+        // the ack for 8 arrives after its publisher gave up, then the pid
+        // is drawn again: the stale ack must not count for the new publish
+        acks.deliver(8);
+        acks.register(8);
+        assert!(!acks.wait(8, soon()), "a late ack is dropped, not kept");
+        assert!(acks.pids.lock().unwrap().is_empty());
     }
 }

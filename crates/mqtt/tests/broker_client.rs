@@ -51,6 +51,31 @@ fn qos1_publish_is_acked() {
 }
 
 #[test]
+fn concurrent_qos1_publishers_share_one_client() {
+    // every publisher must get its own PUBACK: with acks handed out in
+    // arrival order, thread A swallowed the pid thread B waited for and B
+    // timed out
+    let (broker, received) = start_broker(false);
+    let mut cfg = ClientConfig::new(broker.local_addr(), "shared-q1");
+    cfg.ack_timeout = Duration::from_secs(2);
+    let client = Client::connect(cfg).expect("connect");
+    let handles: Vec<_> = (0..4)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
+                (0..50)
+                    .filter(|i| client.publish_qos1(&format!("/q1/{t}/{i}"), b"x").is_err())
+                    .count()
+            })
+        })
+        .collect();
+    let timeouts: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(timeouts, 0, "QoS-1 publishes that lost their PUBACK to another thread");
+    assert_eq!(received.load(Ordering::Relaxed), 200);
+    client.disconnect();
+}
+
+#[test]
 fn many_concurrent_publishers() {
     let (broker, received) = start_broker(false);
     let addr = broker.local_addr();

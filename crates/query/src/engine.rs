@@ -4,7 +4,7 @@
 //! to the server holding the sub-tree", §4.3), captures pushdown snapshots
 //! and folds the resulting streams through [`crate::WindowedAgg`].  Sensor
 //! resolution (topics, prefixes, metadata scaling) lives a layer up in
-//! `dcdb_core::SensorDb::query_aggregate`; the engine works on raw
+//! `dcdb_core::SensorDb::execute`; the engine works on raw
 //! [`SensorId`]s so the Collect Agent can use it without libDCDB.
 
 use std::sync::Arc;

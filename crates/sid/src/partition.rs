@@ -11,12 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::sid::SensorId;
 
 /// Strategy that assigns a SID to one of `n` storage nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Partitioner {
     /// Hash the full SID onto `0..n` (Cassandra's random partitioner;
     /// destroys locality — kept as the ablation baseline).
@@ -51,7 +49,7 @@ fn mix(v: u128) -> u64 {
 
 /// Routing table for a store cluster: explicit sub-tree pins plus a fallback
 /// [`Partitioner`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionMap {
     nodes: usize,
     fallback: Partitioner,

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::topic::{self, TopicError};
 
 /// Number of hierarchy levels encoded in a SID.
@@ -58,7 +56,7 @@ impl From<TopicError> for SidError {
 /// (deeper) levels are zero.  Field values are derived from the component
 /// string with a 16-bit FNV-style hash, with zero reserved to mean "level
 /// absent" — the hash is remapped away from zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SensorId(pub u128);
 
 impl SensorId {

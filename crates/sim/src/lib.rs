@@ -7,7 +7,7 @@
 //! sources ranging from `/proc` files to IPMI BMCs, SNMP agents and the
 //! building-management system.  None of that hardware is available here, so
 //! this crate implements the closest synthetic equivalents that exercise the
-//! same code paths (see DESIGN.md §2 for the substitution table):
+//! same code paths:
 //!
 //! * [`clock`] — a virtual nanosecond clock with per-node drift and NTP-style
 //!   resynchronisation (paper §4.1 synchronises Pushers via NTP),

@@ -1040,7 +1040,10 @@ impl StoreNode {
         &self.core.stats
     }
 
-    /// Persist every SSTable (after a [`Self::flush`]) into `dir`.
+    /// Persist every SSTable (after a [`Self::flush`]) into `dir`, then
+    /// remove the `*.sst` files of an earlier, longer run list: [`Self::load`]
+    /// would replay them as the newest runs and resurrect compacted-away
+    /// values and deleted ranges.
     ///
     /// # Errors
     /// Propagates filesystem failures.
@@ -1049,9 +1052,17 @@ impl StoreNode {
         // snapshot the run list (cheap: block handles are Arc-shared) so
         // file IO never runs under the `sstables` lock
         let tables: Vec<SsTable> = self.core.sstables.read().clone();
+        let mut live = std::collections::HashSet::new();
         for (i, t) in tables.iter().enumerate() {
-            let mut f = std::fs::File::create(dir.join(format!("{i:06}.sst")))?;
-            t.write_to(&mut f)?;
+            let path = dir.join(format!("{i:06}.sst"));
+            t.write_to(&mut std::fs::File::create(&path)?)?;
+            live.insert(path);
+        }
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "sst") && !live.contains(&path) {
+                std::fs::remove_file(&path)?;
+            }
         }
         Ok(tables.len())
     }
@@ -1217,6 +1228,35 @@ mod tests {
         let got = restored.query_range(sid(1), TimeRange::all());
         assert_eq!(got.len(), 50);
         assert_eq!(got[10].value, 5.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn persist_removes_runs_of_an_earlier_longer_list() {
+        let dir = std::env::temp_dir().join(format!("dcdb-store-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let node =
+            StoreNode::new(NodeConfig { compaction_threshold: usize::MAX, ..Default::default() });
+        for run in 0..3i64 {
+            for ts in 0..20 {
+                // every run rewrites the same timestamps: the newest run wins
+                node.insert(sid(1), ts, (run * 100 + ts) as f64);
+            }
+            node.flush();
+        }
+        assert_eq!(node.persist(&dir).unwrap(), 3);
+
+        node.delete_range(sid(1), TimeRange::new(5, 10));
+        node.compact();
+        assert_eq!(node.persist(&dir).unwrap(), 1);
+
+        let restored = StoreNode::default();
+        assert_eq!(restored.load(&dir).unwrap(), 1, "stale 000001/000002.sst were removed");
+        assert_eq!(
+            restored.query_range(sid(1), TimeRange::all()),
+            node.query_range(sid(1), TimeRange::all())
+        );
+        assert!(restored.query_range(sid(1), TimeRange::new(5, 10)).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,15 +1,18 @@
 //! The fundamental data tuple: `<sensor, timestamp, reading>`.
 
-use serde::{Deserialize, Serialize};
-
 /// Timestamps are nanoseconds since the UNIX epoch, like DCDB's.
 pub type Timestamp = i64;
+
+/// Bytes of one uncompressed `<sensor, timestamp, reading>` tuple (`u128`
+/// sid + `i64` timestamp + `f64` value) — the yardstick every compression
+/// ratio is quoted against.
+pub const RAW_READING_BYTES: usize = 32;
 
 /// One sensor reading.
 ///
 /// DCDB enforces this format across the whole framework: every sensor's data
 /// is a time series of `(timestamp, numerical value)` pairs (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reading {
     /// Nanoseconds since the UNIX epoch.
     pub ts: Timestamp,
@@ -25,7 +28,7 @@ impl Reading {
 }
 
 /// A half-open time range `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeRange {
     /// Inclusive start.
     pub start: Timestamp,

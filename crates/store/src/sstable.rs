@@ -8,30 +8,19 @@
 //! ([`SsTable::blocks_decoded`]) makes that laziness observable to tests
 //! and benchmarks.
 //!
-//! Three on-disk formats exist:
-//!
-//! * **`DCDBSST1`** (legacy) — fixed-width records: `u128` sid, `i64`
-//!   timestamp, `f64` value, 32 bytes per entry.  Still readable and
-//!   writable (see [`SsTable::write_to_v1`]) for backward compatibility.
-//! * **`DCDBSST2`** (legacy, compressed) — one Gorilla series per sensor;
-//!   readable (and writable via [`SsTable::encode_v2`]) but decoded eagerly
-//!   on load because it lacks per-block headers.
-//! * **`DCDBSST3`** (current, written by [`SsTable::write_to`]) — the
-//!   in-memory block layout serialised verbatim:
-//!   `[magic][u64 entries][u64 sensors]` then per sensor
-//!   `[u128 sid][u32 n_blocks]` followed by that many `dcdb-compress`
-//!   frames.  Loading performs **no decompression at all**; blocks
-//!   materialise on first intersecting query.
-//!
-//! [`SsTable::read_from`] dispatches on the magic, so directories holding a
-//! mix of v1, v2 and v3 runs load transparently.
+//! The one on-disk format, **`DCDBSST3`** ([`SsTable::write_to`] /
+//! [`SsTable::read_from`]), is the in-memory block layout serialised
+//! verbatim: `[magic][u64 entries][u64 sensors]` then per sensor
+//! `[u128 sid][u32 n_blocks]` followed by that many `dcdb-compress` frames.
+//! Loading performs **no decompression at all**; blocks materialise on
+//! first intersecting query.  Any other magic is `InvalidData`.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 use dcdb_sid::SensorId;
 
 use crate::cache::{BlockCache, BlockKey};
@@ -42,16 +31,8 @@ use crate::reading::{Reading, TimeRange, Timestamp};
 /// compacted table and its replacement).
 static TABLE_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Magic bytes of the legacy fixed-width on-disk format.
-const MAGIC_V1: &[u8; 8] = b"DCDBSST1";
-/// Magic bytes of the whole-run compressed on-disk format.
-const MAGIC_V2: &[u8; 8] = b"DCDBSST2";
-/// Magic bytes of the blocked, lazily-decoded on-disk format.
-const MAGIC_V3: &[u8; 8] = b"DCDBSST3";
-
-/// Bytes per entry in the v1 fixed-width format (sid + ts + value); the
-/// yardstick compression ratios are quoted against.
-pub const V1_RECORD_BYTES: usize = 32;
+/// Magic bytes of the on-disk format.
+const MAGIC: &[u8; 8] = b"DCDBSST3";
 
 /// Readings per compressed block.  Large enough that frame headers are
 /// noise (~24 bytes per block ≈ 0.05 bits/reading), small enough that a
@@ -418,7 +399,7 @@ impl SsTable {
     }
 
     /// Iterate over all entries in `(sid, ts)` order, decoding every block
-    /// (used by compaction and the legacy format writers).  Bypasses the
+    /// (used by compaction).  Bypasses the
     /// decoded-block cache entirely: a maintenance full scan inserting
     /// every block would evict the dashboards' hot entries and skew the
     /// hit/miss statistics with traffic no query issued.
@@ -481,12 +462,12 @@ impl SsTable {
 
     // ------------------------------------------------------------ persistence
 
-    /// Serialise to the current (v3, blocked) on-disk format.  The frames
+    /// Serialise to the on-disk format.  The frames
     /// are already encoded in memory, so this is a plain copy — no
     /// compression work happens at persist time.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let mut out = Vec::with_capacity(24 + self.block_count() * 64);
-        out.extend_from_slice(MAGIC_V3);
+        out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.len as u64).to_be_bytes());
         out.extend_from_slice(&(self.runs.len() as u64).to_be_bytes());
         for (sid, blocks) in &self.runs {
@@ -499,46 +480,13 @@ impl SsTable {
         w.write_all(&out)
     }
 
-    /// The v2 byte image: one whole-run Gorilla series per sensor (kept so
-    /// deployments can write runs readable by pre-v3 binaries).
-    pub fn encode_v2(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.len * 4);
-        out.extend_from_slice(MAGIC_V2);
-        out.extend_from_slice(&(self.len as u64).to_be_bytes());
-        out.extend_from_slice(&(self.runs.len() as u64).to_be_bytes());
-        let mut run: Vec<(i64, f64)> = Vec::new();
-        for (sid, blocks) in &self.runs {
-            run.clear();
-            for b in blocks {
-                run.extend(b.decode());
-            }
-            out.extend_from_slice(&sid.raw().to_be_bytes());
-            dcdb_compress::encode_series_into(&run, &mut out);
-        }
-        out
-    }
-
-    /// Serialise to the legacy v1 fixed-width format (kept so deployments
-    /// can write runs readable by pre-v2 binaries).
-    pub fn write_to_v1<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut buf = BytesMut::with_capacity(16 + self.len * V1_RECORD_BYTES);
-        buf.put_slice(MAGIC_V1);
-        buf.put_u64(self.len as u64);
-        for (sid, ts, value) in self.iter() {
-            buf.put_u128(sid.raw());
-            buf.put_i64(ts);
-            buf.put_f64(value);
-        }
-        w.write_all(&buf)
-    }
-
-    /// Read back any on-disk format, dispatching on the magic bytes.  v3
-    /// images load without decompressing anything; v1/v2 images are decoded
-    /// and re-blocked.  No decoded-block cache is attached; see
+    /// Read back an image written by [`SsTable::write_to`] without
+    /// decompressing anything.  No decoded-block cache is attached; see
     /// [`SsTable::read_from_cached`].
     ///
     /// # Errors
-    /// `InvalidData` on bad magic, truncation or unsorted entries.
+    /// `InvalidData` on bad magic, truncation, a failed frame checksum or
+    /// out-of-order sensors/blocks.
     pub fn read_from<R: Read>(r: &mut R) -> std::io::Result<SsTable> {
         SsTable::read_from_cached(r, None)
     }
@@ -547,40 +495,20 @@ impl SsTable {
     /// loaded table.
     ///
     /// # Errors
-    /// `InvalidData` on bad magic, truncation or unsorted entries.
+    /// As [`SsTable::read_from`].
     pub fn read_from_cached<R: Read>(
         r: &mut R,
         cache: Option<Arc<BlockCache>>,
     ) -> std::io::Result<SsTable> {
         let mut raw = Vec::new();
         r.read_to_end(&mut raw)?;
-        if raw.len() >= 8 && &raw[..8] == MAGIC_V3 {
-            return SsTable::decode_v3(&raw[8..], cache);
+        match raw.strip_prefix(MAGIC) {
+            Some(body) => SsTable::decode_body(body, cache),
+            None => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad SSTable magic")),
         }
-        if raw.len() >= 8 && &raw[..8] == MAGIC_V2 {
-            return SsTable::decode_v2(&raw[8..], cache);
-        }
-        let mut buf = &raw[..];
-        if buf.len() < 16 || &buf[..8] != MAGIC_V1 {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad SSTable magic"));
-        }
-        buf.advance(8);
-        let n = buf.get_u64() as usize;
-        if buf.remaining() < n * V1_RECORD_BYTES {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "truncated SSTable"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sid = SensorId(buf.get_u128());
-            let ts = buf.get_i64();
-            let value = buf.get_f64();
-            entries.push((sid, ts, value));
-        }
-        Self::check_sorted(&entries)?;
-        Ok(SsTable::from_sorted_cached(entries, cache))
     }
 
-    fn decode_v3(mut buf: &[u8], cache: Option<Arc<BlockCache>>) -> std::io::Result<SsTable> {
+    fn decode_body(mut buf: &[u8], cache: Option<Arc<BlockCache>>) -> std::io::Result<SsTable> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         if buf.len() < 16 {
             return Err(bad("truncated SSTable header"));
@@ -642,50 +570,12 @@ impl SsTable {
         }
         Ok(SsTable { runs, len: total, min_ts, max_ts, ctx })
     }
-
-    fn decode_v2(mut buf: &[u8], cache: Option<Arc<BlockCache>>) -> std::io::Result<SsTable> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        if buf.len() < 16 {
-            return Err(bad("truncated SSTable header"));
-        }
-        let n_entries = buf.get_u64() as usize;
-        let n_sensors = buf.get_u64() as usize;
-        // the counts are untrusted: cap the pre-allocation by what the
-        // remaining bytes could possibly hold (≥ 2 bits per reading), so a
-        // corrupt header yields InvalidData below instead of an OOM/panic
-        let mut entries = Vec::with_capacity(n_entries.min(buf.remaining().saturating_mul(4)));
-        for _ in 0..n_sensors {
-            if buf.remaining() < 16 {
-                return Err(bad("truncated SSTable sensor header"));
-            }
-            let sid = SensorId(buf.get_u128());
-            let (run, used) = dcdb_compress::decode_series_prefix(buf)
-                .map_err(|e| bad(&format!("bad SSTable run: {e}")))?;
-            buf.advance(used);
-            entries.extend(run.into_iter().map(|(ts, v)| (sid, ts, v)));
-        }
-        if entries.len() != n_entries {
-            return Err(bad("SSTable entry count mismatch"));
-        }
-        Self::check_sorted(&entries)?;
-        Ok(SsTable::from_sorted_cached(entries, cache))
-    }
-
-    fn check_sorted(entries: &[(SensorId, Timestamp, f64)]) -> std::io::Result<()> {
-        if entries.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)) {
-            Ok(())
-        } else {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "SSTable entries out of order",
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reading::RAW_READING_BYTES;
 
     fn sid(n: u16) -> SensorId {
         SensorId::from_fields(&[7, n]).unwrap()
@@ -772,53 +662,41 @@ mod tests {
 
     #[test]
     fn read_rejects_garbage() {
-        assert!(SsTable::read_from(&mut &b"not a table"[..]).is_err());
+        let invalid = |image: &[u8]| {
+            let err =
+                SsTable::read_from(&mut &image[..]).expect_err("malformed image must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        };
+        invalid(b"not a table");
+        // retired and unknown magics, each ahead of a header that claims
+        // u64::MAX entries: nothing may multiply or allocate from it
+        for magic in [b"DCDBSST1", b"DCDBSST2", b"DCDBSST4", b"\xff\x00\x7f\x80\x01\xfe\x10\xef"] {
+            let mut image = magic.to_vec();
+            invalid(&image);
+            image.extend_from_slice(&u64::MAX.to_be_bytes());
+            invalid(&image);
+            image.extend_from_slice(&u64::MAX.to_be_bytes());
+            invalid(&image);
+        }
+        // a valid magic ahead of hostile counts
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&u64::MAX.to_be_bytes());
+        image.extend_from_slice(&u64::MAX.to_be_bytes());
+        invalid(&image);
+        image.extend_from_slice(&sid(1).raw().to_be_bytes());
+        image.extend_from_slice(&u32::MAX.to_be_bytes());
+        invalid(&image);
+        // every truncation of a valid image
         let mut buf = Vec::new();
         table().write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(SsTable::read_from(&mut &buf[..]).is_err());
-        let mut v1 = Vec::new();
-        table().write_to_v1(&mut v1).unwrap();
-        v1.truncate(v1.len() - 5);
-        assert!(SsTable::read_from(&mut &v1[..]).is_err());
-        let mut v2 = table().encode_v2();
-        v2.truncate(v2.len() - 5);
-        assert!(SsTable::read_from(&mut &v2[..]).is_err());
-    }
-
-    #[test]
-    fn v1_tables_still_load() {
-        let t = table();
-        let mut v1 = Vec::new();
-        t.write_to_v1(&mut v1).unwrap();
-        assert_eq!(&v1[..8], b"DCDBSST1");
-        let t2 = SsTable::read_from(&mut &v1[..]).unwrap();
-        assert_eq!(t2.len(), t.len());
-        for s in 1..=3u16 {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            t.query(sid(s), TimeRange::all(), &mut a);
-            t2.query(sid(s), TimeRange::all(), &mut b);
-            assert_eq!(a, b);
+        assert!(SsTable::read_from(&mut &buf[..]).is_ok());
+        for len in 0..buf.len() {
+            invalid(&buf[..len]);
         }
     }
 
     #[test]
-    fn v2_tables_still_load() {
-        let t = table();
-        let v2 = t.encode_v2();
-        assert_eq!(&v2[..8], b"DCDBSST2");
-        let t2 = SsTable::read_from(&mut &v2[..]).unwrap();
-        assert_eq!(t2.len(), t.len());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        t.query(sid(2), TimeRange::all(), &mut a);
-        t2.query(sid(2), TimeRange::all(), &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn v3_is_current_format_and_compresses() {
+    fn on_disk_format_compresses_and_loads_lazily() {
         // a realistic run: fixed interval, slowly-varying values
         let entries: Vec<(SensorId, Timestamp, f64)> = (0..2000)
             .map(|i| (sid(1), i as Timestamp * 1_000_000_000, 240.0 + (i % 5) as f64))
@@ -827,14 +705,8 @@ mod tests {
         let mut v3 = Vec::new();
         t.write_to(&mut v3).unwrap();
         assert_eq!(&v3[..8], b"DCDBSST3");
-        let mut v1 = Vec::new();
-        t.write_to_v1(&mut v1).unwrap();
-        assert!(
-            v3.len() * 4 < v1.len(),
-            "v3 ({}) should be ≥ 4× smaller than v1 ({})",
-            v3.len(),
-            v1.len()
-        );
+        let raw = t.len() * RAW_READING_BYTES;
+        assert!(v3.len() * 4 < raw, "v3 ({}) should be ≥ 4× smaller than raw ({raw})", v3.len());
         let t2 = SsTable::read_from(&mut &v3[..]).unwrap();
         assert_eq!(t2.len(), t.len());
         // loading performed zero decompression

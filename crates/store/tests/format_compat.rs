@@ -1,10 +1,9 @@
-//! On-disk format compatibility: after the DCDBSST3 (blocked, lazily
-//! decoded) switch, directories written by the v1 fixed-width or v2
-//! whole-run compressed formats — or a mix of all three — must still load.
+//! The on-disk format: `persist` emits DCDBSST3, and an image decodes back
+//! to exactly the table that wrote it.
 
 use dcdb_sid::SensorId;
-use dcdb_store::reading::TimeRange;
-use dcdb_store::sstable::{SsTable, V1_RECORD_BYTES};
+use dcdb_store::reading::RAW_READING_BYTES;
+use dcdb_store::sstable::SsTable;
 use dcdb_store::StoreNode;
 use proptest::prelude::*;
 
@@ -20,48 +19,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn node_loads_v1_directory() {
-    let dir = tmp_dir("v1");
-    // a run persisted by a pre-v2 binary
-    let entries: Vec<(SensorId, i64, f64)> =
-        (0..500).map(|i| (sid(1), i * 1_000, 100.0 + i as f64)).collect();
-    let table = SsTable::from_sorted(entries);
-    let mut f = std::fs::File::create(dir.join("000000.sst")).unwrap();
-    table.write_to_v1(&mut f).unwrap();
-    drop(f);
-
-    let node = StoreNode::default();
-    assert_eq!(node.load(&dir).unwrap(), 1);
-    let got = node.query_range(sid(1), TimeRange::all());
-    assert_eq!(got.len(), 500);
-    assert_eq!(got[10].value, 110.0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn node_loads_mixed_v1_v2_v3_directory() {
-    let dir = tmp_dir("mixed");
-    let old = SsTable::from_sorted((0..100).map(|i| (sid(1), i, 1.0)).collect());
-    let mut f = std::fs::File::create(dir.join("000000.sst")).unwrap();
-    old.write_to_v1(&mut f).unwrap();
-    drop(f);
-    let mid = SsTable::from_sorted((100..200).map(|i| (sid(1), i, 2.0)).collect());
-    std::fs::write(dir.join("000001.sst"), mid.encode_v2()).unwrap();
-    let new = SsTable::from_sorted((200..300).map(|i| (sid(1), i, 3.0)).collect());
-    let mut f = std::fs::File::create(dir.join("000002.sst")).unwrap();
-    new.write_to(&mut f).unwrap();
-    drop(f);
-
-    let node = StoreNode::default();
-    assert_eq!(node.load(&dir).unwrap(), 3);
-    let got = node.query_range(sid(1), TimeRange::all());
-    assert_eq!(got.len(), 300);
-    assert_eq!(got[0].value, 1.0);
-    assert_eq!(got[299].value, 3.0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn persist_now_emits_v3() {
     let dir = tmp_dir("emit");
     let node = StoreNode::default();
@@ -73,7 +30,7 @@ fn persist_now_emits_v3() {
     let raw = std::fs::read(dir.join("000000.sst")).unwrap();
     assert_eq!(&raw[..8], b"DCDBSST3");
     assert!(
-        raw.len() * 4 < 1000 * V1_RECORD_BYTES,
+        raw.len() * 4 < 1000 * RAW_READING_BYTES,
         "expected ≥ 4× compression, got {} bytes for 1000 readings",
         raw.len()
     );
@@ -83,10 +40,10 @@ fn persist_now_emits_v3() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// v1, v2 and v3 images of the same table decode to identical contents —
+    /// An image decodes to the contents of the table that wrote it —
     /// including NaN/±∞ values and extreme timestamps.
     #[test]
-    fn all_formats_decode_identically(
+    fn image_decodes_identically(
         runs in prop::collection::vec(
             (0u16..6, prop::collection::vec((any::<i64>(), any::<u64>()), 0..50)),
             0..6,
@@ -100,25 +57,17 @@ proptest! {
             .collect();
         entries.sort_by_key(|e| (e.0, e.1));
         entries.dedup_by_key(|e| (e.0, e.1));
-        let table = SsTable::from_sorted(entries);
+        let table = SsTable::from_sorted(entries.clone());
 
-        let mut v1 = Vec::new();
-        table.write_to_v1(&mut v1).unwrap();
-        let mut v3 = Vec::new();
-        table.write_to(&mut v3).unwrap();
-        let from_v1 = SsTable::read_from(&mut &v1[..]).unwrap();
-        let from_v2 = SsTable::read_from(&mut &table.encode_v2()[..]).unwrap();
-        let from_v3 = SsTable::read_from(&mut &v3[..]).unwrap();
+        let mut image = Vec::new();
+        table.write_to(&mut image).unwrap();
+        let loaded = SsTable::read_from(&mut &image[..]).unwrap();
 
-        prop_assert_eq!(from_v1.len(), from_v2.len());
-        prop_assert_eq!(from_v1.len(), from_v3.len());
-        let a: Vec<(SensorId, i64, u64)> =
-            from_v1.iter().map(|(s, t, v)| (s, t, v.to_bits())).collect();
-        let b: Vec<(SensorId, i64, u64)> =
-            from_v2.iter().map(|(s, t, v)| (s, t, v.to_bits())).collect();
-        let c: Vec<(SensorId, i64, u64)> =
-            from_v3.iter().map(|(s, t, v)| (s, t, v.to_bits())).collect();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+        prop_assert_eq!(loaded.len(), entries.len());
+        let want: Vec<(SensorId, i64, u64)> =
+            entries.iter().map(|&(s, t, v)| (s, t, v.to_bits())).collect();
+        let got: Vec<(SensorId, i64, u64)> =
+            loaded.iter().map(|(s, t, v)| (s, t, v.to_bits())).collect();
+        prop_assert_eq!(&got, &want);
     }
 }

@@ -19,8 +19,10 @@
 //! cores).
 //!
 //! `--maintenance-threads N` runs flush/compaction on `N` background
-//! workers shared by the whole cluster, so sustained MQTT ingest never
-//! pays for an SSTable merge inline; `--flush-interval-s S` additionally
+//! workers shared by the whole cluster (default 1), so sustained MQTT
+//! ingest never pays for an SSTable merge inline — `0` selects the
+//! synchronous mode, whose insert tail latency is orders of magnitude
+//! worse; `--flush-interval-s S` additionally
 //! flushes each node's memtable at least every `S` seconds (bounding how
 //! many readings a crash can lose) and drives periodic TTL enforcement.
 //! `/stats` reports the flush/compaction/stall counters plus the age of

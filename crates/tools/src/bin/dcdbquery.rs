@@ -25,14 +25,14 @@
 //! `--sizes` reports the database's stored (compressed) versus raw
 //! fixed-width byte footprint — plus a block-cache capacity/usage line
 //! when `--cache-mb` is active and a maintenance line (flush/compaction
-//! counters, write stalls) when `--maintenance-threads` is.  With
+//! counters, write stalls) unless `--maintenance-threads 0`.  With
 //! `--sizes` topics are optional; when topics are also given the report
 //! prints *after* the queries, so the cache hit/miss numbers reflect what
 //! they touched.
 //!
 //! `--maintenance-threads N` / `--flush-interval-s S` configure background
-//! flush/compaction maintenance for the opened store (0 threads =
-//! synchronous, the default) — mostly relevant to `csvimport`-style bulk
+//! flush/compaction maintenance for the opened store (default 1 thread,
+//! 0 = synchronous) — mostly relevant to `csvimport`-style bulk
 //! loads through the same [`dcdb_tools::open_db_with`] path; `dcdbquery`
 //! itself is read-only.
 //!
@@ -51,9 +51,20 @@
 // CLI binary / example: stdout is the product.
 #![allow(clippy::print_stdout)]
 
-use dcdb_core::{ops, QueryRequest};
-use dcdb_store::reading::TimeRange;
+use std::sync::Arc;
+
+use dcdb_core::{ops, QueryRequest, SensorDb};
+use dcdb_store::reading::{Reading, TimeRange};
 use dcdb_tools::{db_sizes, node_config_from_args, open_db_with, Args};
+
+/// Readings of `topic` for the `--op` analyses, or the error line the raw
+/// and `--agg` branches print.
+fn fetch(db: &Arc<SensorDb>, topic: &str, range: TimeRange) -> Result<Vec<Reading>, String> {
+    match db.query(topic, range) {
+        Ok(series) => Ok(series.readings),
+        Err(e) => Err(format!("dcdbquery: {topic}: {e}")),
+    }
+}
 
 fn main() {
     let args = Args::from_env();
@@ -71,8 +82,22 @@ fn main() {
         eprintln!("dcdbquery: no topics given");
         std::process::exit(2);
     }
-    let start: i64 = args.get("start").and_then(|s| s.parse().ok()).unwrap_or(i64::MIN);
-    let end: i64 = args.get("end").and_then(|s| s.parse().ok()).unwrap_or(i64::MAX);
+    // one request per topic, through the parser every surface shares
+    let requests: Result<Vec<QueryRequest>, dcdb_core::QueryError> = topics
+        .iter()
+        .map(|&topic| {
+            let param = |name: &str| if name == "topic" { Some(topic) } else { args.get(name) };
+            let req = QueryRequest::from_params(param, TimeRange::all())?;
+            Ok(if args.has("explain") { req.traced() } else { req })
+        })
+        .collect();
+    let requests = match requests {
+        Ok(requests) => requests,
+        Err(e) => {
+            eprintln!("dcdbquery: {e}");
+            std::process::exit(2);
+        }
+    };
     let node_cfg = node_config_from_args(&args);
     let db = match open_db_with(std::path::Path::new(db_dir), node_cfg) {
         Ok(db) => db,
@@ -93,7 +118,7 @@ fn main() {
             }
         }
     }
-    let print_slow = |db: &std::sync::Arc<dcdb_core::SensorDb>| {
+    let print_slow = |db: &Arc<SensorDb>| {
         let slow = db.slow_queries();
         if !slow.armed() {
             return;
@@ -110,58 +135,38 @@ fn main() {
             eprint!("{}", e.trace.render());
         }
     };
-    let print_sizes =
-        |db: &std::sync::Arc<dcdb_core::SensorDb>| match db_sizes(db, std::path::Path::new(db_dir))
-        {
-            Ok(sizes) => println!("{}", sizes.render()),
-            Err(e) => {
-                eprintln!("dcdbquery: sizing database: {e}");
-                std::process::exit(1);
-            }
-        };
-    if args.has("sizes") && topics.is_empty() {
-        print_sizes(&db);
+    let print_sizes = |db: &Arc<SensorDb>| match db_sizes(db, std::path::Path::new(db_dir)) {
+        Ok(sizes) => println!("{}", sizes.render()),
+        Err(e) => {
+            eprintln!("dcdbquery: sizing database: {e}");
+            std::process::exit(1);
+        }
+    };
+    let Some(first) = requests.first() else {
+        print_sizes(&db); // --sizes alone
         return;
-    }
-    let range = TimeRange::new(start, end);
-    if args.has("agg") || args.has("window") || args.has("group-by") {
-        let Some(agg) = args.get("agg").and_then(dcdb_query::AggFn::parse) else {
+    };
+    if first.agg.is_some() || first.window_ns.is_some() || first.group_by.is_some() {
+        let Some(agg) = first.agg else {
             eprintln!("dcdbquery: --agg needs avg|min|max|sum|count|stddev|median|pNN|qX|rate");
             std::process::exit(2);
         };
-        let Some(window) =
-            args.get("window").and_then(dcdb_query::parse_duration_ns).filter(|&w| w > 0)
-        else {
+        if first.window_ns.is_none() {
             eprintln!("dcdbquery: --window needs a duration like 30s, 5m, 1h");
             std::process::exit(2);
-        };
-        let group_by: Option<usize> = match args.get("group-by") {
-            None => None,
-            Some(v) => match v.parse() {
-                Ok(level) if (1..=dcdb_sid::LEVELS).contains(&level) => Some(level),
-                _ => {
-                    eprintln!(
-                        "dcdbquery: --group-by needs a hierarchy level (1..={})",
-                        dcdb_sid::LEVELS
-                    );
-                    std::process::exit(2);
-                }
-            },
-        };
-        if group_by.is_some() {
+        }
+        if let Err(e) = first.validate() {
+            eprintln!("dcdbquery: {e}");
+            std::process::exit(2);
+        }
+        if first.group_by.is_some() {
             println!("group,window_start,{agg}");
         } else {
             println!("sensor,window_start,{agg}");
         }
-        for topic in topics {
-            let mut req = QueryRequest::new(topic).range(range).aggregate(agg, window);
-            if let Some(level) = group_by {
-                req = req.group_by(level);
-            }
-            if args.has("explain") {
-                req = req.traced();
-            }
-            match db.execute(&req) {
+        for req in &requests {
+            let topic = &req.target;
+            match db.execute(req) {
                 Ok(resp) => {
                     for group in &resp.series {
                         let label = group.key.as_deref().unwrap_or(&group.series.topic);
@@ -184,17 +189,13 @@ fn main() {
         print_slow(&db);
         return;
     }
+    let range = first.range;
     match args.get("op") {
         None => {
             println!("sensor,timestamp,value");
-            for topic in topics {
-                // QueryRequest::topic mirrors the legacy db.query contract
-                // (exact match, one series even for unknown topics)
-                let mut req = QueryRequest::topic(topic).range(range).lenient_units();
-                if args.has("explain") {
-                    req = req.traced();
-                }
-                match db.execute(&req) {
+            for req in &requests {
+                let topic = &req.target;
+                match db.execute(req) {
                     Ok(resp) => {
                         for group in &resp.series {
                             for r in &group.series.readings {
@@ -212,28 +213,38 @@ fn main() {
         Some("integral") => {
             println!("sensor,integral");
             for topic in topics {
-                if let Ok(series) = db.query(topic, range) {
-                    println!("{topic},{}", ops::integral(&series.readings));
+                match fetch(&db, topic, range) {
+                    Ok(readings) => println!("{topic},{}", ops::integral(&readings)),
+                    Err(line) => eprintln!("{line}"),
                 }
             }
         }
         Some("derivative") => {
             println!("sensor,timestamp,derivative");
             for topic in topics {
-                if let Ok(series) = db.query(topic, range) {
-                    for r in ops::derivative(&series.readings) {
-                        println!("{topic},{},{}", r.ts, r.value);
+                match fetch(&db, topic, range) {
+                    Ok(readings) => {
+                        for r in ops::derivative(&readings) {
+                            println!("{topic},{},{}", r.ts, r.value);
+                        }
                     }
+                    Err(line) => eprintln!("{line}"),
                 }
             }
         }
         Some("stats") => {
             println!("sensor,count,min,max,mean,stddev");
             for topic in topics {
-                if let Ok(series) = db.query(topic, range) {
-                    if let Some(s) = ops::stats(&series.readings) {
-                        println!("{topic},{},{},{},{},{}", s.count, s.min, s.max, s.mean, s.stddev);
+                match fetch(&db, topic, range) {
+                    Ok(readings) => {
+                        if let Some(s) = ops::stats(&readings) {
+                            println!(
+                                "{topic},{},{},{},{},{}",
+                                s.count, s.min, s.max, s.mean, s.stddev
+                            );
+                        }
                     }
+                    Err(line) => eprintln!("{line}"),
                 }
             }
         }
@@ -246,4 +257,24 @@ fn main() {
         print_sizes(&db);
     }
     print_slow(&db);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn op_fetch_reports_query_errors() {
+        // a virtual sensor whose operand cannot convert to its unit: the
+        // only way `SensorDb::query` fails
+        let db = SensorDb::in_memory();
+        db.insert("/a/temp", 0, 30.0).unwrap();
+        db.set_meta("/a/temp", dcdb_core::SensorMeta::with_unit(dcdb_core::Unit::CELSIUS));
+        db.define_virtual("/v/bad", "\"/a/temp\" * 2", dcdb_core::Unit::WATT).unwrap();
+        assert_eq!(
+            fetch(&db, "/v/bad", TimeRange::all()),
+            Err("dcdbquery: /v/bad: operand \"/a/temp\" has an incompatible unit".to_string())
+        );
+        assert_eq!(fetch(&db, "/a/temp", TimeRange::all()), Ok(vec![Reading::new(0, 30.0)]));
+    }
 }

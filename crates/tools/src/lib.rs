@@ -16,8 +16,8 @@
 //! the store's SSTables plus the topic registry (`topics.list`).  Every
 //! cluster node persists its runs under `node<N>/`; `cluster.list` records
 //! the node count and partitioning depth so re-opening reconstructs the
-//! same routing.  Legacy layouts (a lone `node0/`, or loose `*.sst` files
-//! in the directory root) still load.
+//! same routing.  That is the only layout: runs without a `cluster.list`
+//! are rejected rather than guessed at.
 
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -27,7 +27,8 @@ use dcdb_core::SensorDb;
 use dcdb_sid::{PartitionMap, TopicRegistry};
 use dcdb_store::{NodeConfig, StoreCluster};
 
-/// Default partitioning depth when `cluster.list` predates the field.
+/// Partitioning depth of a database created by opening a missing or empty
+/// directory.
 const DEFAULT_PREFIX_DEPTH: usize = 3;
 
 /// Persist every node of `store` under `dir/node<N>/` and record the
@@ -61,13 +62,12 @@ pub fn save_cluster(store: &StoreCluster, dir: &Path) -> std::io::Result<usize> 
 }
 
 /// Rebuild the cluster persisted by [`save_cluster`] and load every node's
-/// runs.  Without a `cluster.list` the layout is treated as legacy: a
-/// single-node cluster loading `node0/` and any loose `*.sst` files in the
-/// directory root.
+/// runs.
 ///
 /// # Errors
-/// Propagates I/O and format failures; a missing directory yields an empty
-/// single-node cluster.
+/// Propagates I/O and format failures; `InvalidData` when the directory
+/// holds `*.sst` files or `node*/` directories but no `cluster.list`.  A
+/// missing (or run-less) directory yields an empty single-node cluster.
 pub fn load_cluster(dir: &Path) -> std::io::Result<Arc<StoreCluster>> {
     load_cluster_with(dir, NodeConfig::default())
 }
@@ -77,9 +77,9 @@ pub fn load_cluster(dir: &Path) -> std::io::Result<Arc<StoreCluster>> {
 /// database opened from disk.
 ///
 /// # Errors
-/// Propagates I/O and format failures; a missing directory yields an empty
-/// single-node cluster.
+/// As [`load_cluster`].
 pub fn load_cluster_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Arc<StoreCluster>> {
+    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     let mut nodes = 1usize;
     let mut depth = Some(DEFAULT_PREFIX_DEPTH);
     let meta = dir.join("cluster.list");
@@ -87,23 +87,30 @@ pub fn load_cluster_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Ar
         for line in std::fs::read_to_string(&meta)?.lines() {
             match line.split_once(' ') {
                 Some(("nodes", n)) => {
-                    nodes = n.trim().parse().map_err(|_| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad node count in cluster.list",
-                        )
-                    })?;
+                    nodes = n.trim().parse().map_err(|_| bad("bad node count in cluster.list"))?;
                 }
                 Some(("prefix-depth", d)) => {
-                    depth = Some(d.trim().parse().map_err(|_| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad prefix-depth in cluster.list",
-                        )
-                    })?);
+                    depth = Some(
+                        d.trim().parse().map_err(|_| bad("bad prefix-depth in cluster.list"))?,
+                    );
                 }
                 Some(("partitioner", "random")) => depth = None,
                 _ => {}
+            }
+        }
+    } else if dir.exists() {
+        // runs whose routing nobody recorded: loading them onto a guessed
+        // cluster shape could put them on the wrong node
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let is_run = path.extension().is_some_and(|x| x == "sst");
+            let is_node_dir = path.is_dir()
+                && path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("node"));
+            if is_run || is_node_dir {
+                return Err(bad(&format!(
+                    "{} holds SSTable runs but no cluster.list",
+                    dir.display()
+                )));
             }
         }
     }
@@ -118,19 +125,6 @@ pub fn load_cluster_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Ar
             store.node(i).load(&node_dir)?;
         }
     }
-    // The loose-runs-in-the-root layout is a *legacy* alternative to
-    // node<N>/ directories: only honour it when neither cluster.list nor
-    // node0/ exists, so stale root files can neither double-load nor land
-    // on the wrong node of a sharded cluster.
-    if !meta.exists()
-        && !dir.join("node0").exists()
-        && dir.exists()
-        && std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .any(|e| e.path().extension().is_some_and(|x| x == "sst"))
-    {
-        store.node(0).load(dir)?;
-    }
     Ok(store)
 }
 
@@ -138,10 +132,11 @@ pub fn load_cluster_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Ar
 ///
 /// Layout: `<dir>/topics.list` (one topic per line, registration order),
 /// `<dir>/node<N>/*.sst` (per-node runs) and `<dir>/cluster.list` (cluster
-/// shape; absent in legacy single-node layouts).
+/// shape).
 ///
 /// # Errors
-/// Propagates I/O failures; a missing directory yields an empty database.
+/// Propagates I/O and format failures (see [`load_cluster`]); a missing
+/// directory yields an empty database.
 pub fn open_db(dir: &Path) -> std::io::Result<Arc<SensorDb>> {
     open_db_with(dir, NodeConfig::default())
 }
@@ -150,7 +145,7 @@ pub fn open_db(dir: &Path) -> std::io::Result<Arc<SensorDb>> {
 /// cache budget, flush/compaction tuning).
 ///
 /// # Errors
-/// Propagates I/O failures; a missing directory yields an empty database.
+/// As [`open_db`].
 pub fn open_db_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Arc<SensorDb>> {
     let registry = Arc::new(TopicRegistry::new());
     let topics_path = dir.join("topics.list");
@@ -181,12 +176,12 @@ pub fn cache_mb_to_readings(mb: usize) -> usize {
 
 /// Build a [`NodeConfig`] from the shared CLI knobs:
 /// `--cache-mb MB` (decoded-block cache budget), `--maintenance-threads N`
-/// (background flush/compaction workers, 0 = synchronous) and
+/// (background flush/compaction workers, default 1, 0 = synchronous) and
 /// `--flush-interval-s S` (periodic time-based flush, 0 = size-only).
 pub fn node_config_from_args(args: &Args) -> NodeConfig {
     let cache_mb: usize = args.get("cache-mb").and_then(|s| s.parse().ok()).unwrap_or(0);
     let maintenance_threads: usize =
-        args.get("maintenance-threads").and_then(|s| s.parse().ok()).unwrap_or(0);
+        args.get("maintenance-threads").and_then(|s| s.parse().ok()).unwrap_or(1);
     let flush_interval_s: u64 =
         args.get("flush-interval-s").and_then(|s| s.parse().ok()).unwrap_or(0);
     NodeConfig {
@@ -219,9 +214,10 @@ pub fn save_db(db: &Arc<SensorDb>, dir: &Path) -> std::io::Result<()> {
 pub struct DbSizes {
     /// Readings stored (memtable + SSTables).
     pub readings: u64,
-    /// Bytes of `.sst` files on disk (DCDBSST2 compressed runs).
+    /// Bytes of `.sst` files on disk.
     pub stored_bytes: u64,
-    /// Bytes the same readings cost in the v1 fixed-width format.
+    /// Bytes the same readings cost uncompressed
+    /// ([`dcdb_store::reading::RAW_READING_BYTES`] each).
     pub raw_bytes: u64,
     /// Decoded-block cache counters (capacity 0 when caching is off).
     pub cache: dcdb_store::CacheStats,
@@ -231,7 +227,7 @@ pub struct DbSizes {
 }
 
 impl DbSizes {
-    /// Compression ratio versus the v1 format (1.0 when nothing is stored).
+    /// Compression ratio versus fixed-width tuples (1.0 when nothing is stored).
     pub fn ratio(&self) -> f64 {
         if self.stored_bytes == 0 {
             1.0
@@ -244,7 +240,7 @@ impl DbSizes {
     /// when a block cache is configured).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "stored: {} readings in {} bytes on disk (fixed-width v1: {} bytes, {:.1}x compression)",
+            "stored: {} readings in {} bytes on disk (fixed-width: {} bytes, {:.1}x compression)",
             self.readings,
             self.stored_bytes,
             self.raw_bytes,
@@ -285,7 +281,7 @@ impl DbSizes {
 }
 
 /// Measure a database directory written by [`save_db`], summing every
-/// node's runs (plus loose legacy runs in the directory root).
+/// node's runs.
 ///
 /// # Errors
 /// Propagates I/O failures; missing directories count as empty.
@@ -302,13 +298,7 @@ pub fn db_sizes(db: &Arc<SensorDb>, dir: &Path) -> std::io::Result<DbSizes> {
         }
         Ok(total)
     }
-    // root-level loose runs count only in the legacy layout that actually
-    // loads them (no cluster.list, no node0/) — mirrors load_cluster
-    let mut stored_bytes = if !dir.join("cluster.list").exists() && !dir.join("node0").exists() {
-        sst_bytes(dir)?
-    } else {
-        0
-    };
+    let mut stored_bytes = 0;
     for i in 0..db.store().node_count() {
         stored_bytes += sst_bytes(&dir.join(format!("node{i}")))?;
     }
@@ -316,7 +306,7 @@ pub fn db_sizes(db: &Arc<SensorDb>, dir: &Path) -> std::io::Result<DbSizes> {
     Ok(DbSizes {
         readings,
         stored_bytes,
-        raw_bytes: readings * dcdb_store::sstable::V1_RECORD_BYTES as u64,
+        raw_bytes: readings * dcdb_store::reading::RAW_READING_BYTES as u64,
         cache: db.store().cache_stats(),
         maintenance: db.store().maintenance_stats(),
     })
@@ -409,6 +399,15 @@ mod tests {
         assert!(!a.has("quiet"));
         assert_eq!(a.positional(), vec!["query"]);
         assert_eq!(a.get("missing"), None);
+    }
+
+    #[test]
+    fn maintenance_runs_in_the_background_unless_asked_otherwise() {
+        let threads =
+            |args: &[&str]| node_config_from_args(&Args::from_slice(args)).maintenance_threads;
+        assert_eq!(threads(&[]), 1, "the mode the benchmark measures is the default");
+        assert_eq!(threads(&["--maintenance-threads", "0"]), 0, "synchronous stays selectable");
+        assert_eq!(threads(&["--maintenance-threads", "3"]), 3);
     }
 
     #[test]
@@ -521,33 +520,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_dir_layout_still_loads() {
-        let dir = std::env::temp_dir().join(format!("dcdb-tools-legacy-{}", std::process::id()));
+    fn runs_without_cluster_list_are_rejected() {
+        let dir = std::env::temp_dir().join(format!("dcdb-tools-loose-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // a pre-cluster.list layout: topics.list + loose .sst in the root
-        let registry = TopicRegistry::new();
-        let sid = registry.resolve("/old/s").unwrap();
         std::fs::write(dir.join("topics.list"), "/old/s\n").unwrap();
+        // no runs yet: an empty database
+        assert_eq!(open_db(&dir).unwrap().store().total_entries(), 0);
         let node = dcdb_store::StoreNode::default();
-        for ts in 0..20i64 {
-            node.insert(sid, ts, 7.0);
-        }
+        node.insert(TopicRegistry::new().resolve("/old/s").unwrap(), 1, 7.0);
         node.flush();
-        node.persist(&dir).unwrap(); // writes <dir>/*.sst directly
-        let db = open_db(&dir).unwrap();
-        assert_eq!(db.store().node_count(), 1);
-        let s = db.query("/old/s", TimeRange::all()).unwrap();
-        assert_eq!(s.readings.len(), 20);
-        // ... and so does the node0-only layout
-        let dir2 = std::env::temp_dir().join(format!("dcdb-tools-node0-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir2);
-        std::fs::create_dir_all(&dir2).unwrap();
-        std::fs::write(dir2.join("topics.list"), "/old/s\n").unwrap();
-        node.persist(&dir2.join("node0")).unwrap();
-        let db2 = open_db(&dir2).unwrap();
-        assert_eq!(db2.query("/old/s", TimeRange::all()).unwrap().readings.len(), 20);
+        let invalid = |dir: &Path| match open_db(dir) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+            Ok(_) => panic!("{} opened without a cluster.list", dir.display()),
+        };
+        // a bare node0/ ...
+        node.persist(&dir.join("node0")).unwrap();
+        invalid(&dir);
+        // ... and loose runs in the root
+        std::fs::remove_dir_all(dir.join("node0")).unwrap();
+        node.persist(&dir).unwrap();
+        invalid(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 }

@@ -54,6 +54,16 @@ fn csvimport_then_query_roundtrip() {
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("/cli/power,2,100,200,150,50"), "{text}");
+
+    // a reversed range is a usage error (it used to reach TimeRange::new's
+    // assert and abort with a panic)
+    let out = Command::new(env!("CARGO_BIN_EXE_dcdbquery"))
+        .args(["--db", db.to_str().unwrap(), "--start", "10", "--end", "5", "/cli/power"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("invalid request: start must precede end"), "{text}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -88,7 +98,7 @@ fn size_report_shows_compression_ratio() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("stored: 5000 readings"), "{text}");
     let ratio: f64 = text
-        .split_once("v1: ")
+        .split_once("fixed-width: ")
         .and_then(|(_, rest)| rest.split_once(" bytes, "))
         .and_then(|(_, rest)| rest.split_once('x'))
         .map(|(r, _)| r.parse().unwrap())
@@ -257,7 +267,7 @@ fn grouped_aggregation_prints_group_key_column() {
     assert!(text.contains("/sim/rack0,0,100\n"), "{text}");
     assert!(text.contains("/sim/rack1,0,200\n"), "{text}");
 
-    // a bad level is rejected with a usage hint
+    // a bad level is rejected by the shared request parser
     let out = Command::new(env!("CARGO_BIN_EXE_dcdbquery"))
         .args([
             "--db",
@@ -272,8 +282,8 @@ fn grouped_aggregation_prints_group_key_column() {
         ])
         .output()
         .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--group-by"));
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad group-by level"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

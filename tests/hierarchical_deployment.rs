@@ -15,6 +15,11 @@ use dcdb::sid::{PartitionMap, TopicRegistry};
 use dcdb::store::reading::TimeRange;
 use dcdb::store::{NodeConfig, StoreCluster};
 
+/// Sum of every sensor below `prefix` on the union of their timestamps.
+fn interpolated_sum(prefix: &str) -> dcdb::core::QueryRequest {
+    dcdb::core::QueryRequest::subtree(prefix).aggregate_interpolated(dcdb::query::AggFn::Sum)
+}
+
 #[test]
 fn two_collect_agents_one_storage_cluster() {
     // One distributed storage cluster shared by both agents, partitioned at
@@ -75,7 +80,7 @@ fn two_collect_agents_one_storage_cluster() {
     }
 
     // Cross-cluster aggregate over the whole site in one call.
-    let sum = db.aggregate_subtree("/site", TimeRange::all()).unwrap();
+    let sum = db.execute(&interpolated_sum("/site")).unwrap().into_single();
     assert_eq!(sum.readings.len(), 11, "shared grid across both clusters");
     // tester values ramp identically on both clusters; the sum at t=0 is the
     // sum of 48 sensors' ramp offsets
@@ -115,16 +120,11 @@ fn grouped_queries_across_a_sharded_site() {
             .readings
             .iter()
             .all(|r| (r.value - 100.0 * (rack + 1) as f64).abs() < 1e-9));
-        // grouped series agree with the legacy per-rack fan-in exactly
-        let legacy = db
-            .query_aggregate(
-                &format!("/site/rack{rack}"),
-                TimeRange::new(0, 120_000_000_000),
-                60_000_000_000,
-                dcdb::query::AggFn::Avg,
-            )
-            .unwrap();
-        assert_eq!(group.series.readings, legacy.readings);
+        // grouped series agree with the ungrouped per-rack fan-in exactly
+        let fan_in = dcdb::core::QueryRequest::new(&format!("/site/rack{rack}"))
+            .range(TimeRange::new(0, 120_000_000_000))
+            .aggregate(dcdb::query::AggFn::Avg, 60_000_000_000);
+        assert_eq!(group.series.readings, db.execute(&fan_in).unwrap().into_single().readings);
     }
 }
 
@@ -136,14 +136,14 @@ fn subtree_queries_and_aggregates() {
             db.insert(&format!("/agg/rack0/node{node}/power"), ts * 1_000, 100.0).unwrap();
         }
     }
-    let series = db.query_subtree("/agg/rack0", TimeRange::all()).unwrap();
-    assert_eq!(series.len(), 4);
-    let total = db.aggregate_subtree("/agg/rack0", TimeRange::all()).unwrap();
+    let raw = db.execute(&dcdb::core::QueryRequest::subtree("/agg/rack0")).unwrap();
+    assert_eq!(raw.series.len(), 4);
+    let total = db.execute(&interpolated_sum("/agg/rack0")).unwrap().into_single();
     assert_eq!(total.readings.len(), 10);
     assert!(total.readings.iter().all(|r| (r.value - 400.0).abs() < 1e-9));
     // misaligned sampling still aggregates via interpolation
     db.insert("/agg/rack0/node9/power", 500, 50.0).unwrap();
     db.insert("/agg/rack0/node9/power", 9_500, 50.0).unwrap();
-    let total = db.aggregate_subtree("/agg/rack0", TimeRange::all()).unwrap();
+    let total = db.execute(&interpolated_sum("/agg/rack0")).unwrap().into_single();
     assert!(total.readings.iter().all(|r| (r.value - 450.0).abs() < 1e-9));
 }
