@@ -1,5 +1,6 @@
 //! The Collect Agent core: message handling and storage writing.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -7,12 +8,12 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use dcdb_mqtt::broker::{Broker, BrokerConfig, PublishSink};
 use dcdb_mqtt::inproc::InprocBus;
-use dcdb_mqtt::payload::{decode_payload, PayloadEncoding};
+use dcdb_mqtt::payload::{decode_payload_each, PayloadEncoding, RECORD_SIZE};
 use dcdb_obs::{Histogram, Kind};
-use dcdb_sid::TopicRegistry;
+use dcdb_sid::{SensorId, TopicRegistry};
 use dcdb_store::reading::Reading;
 use dcdb_store::StoreCluster;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 /// Collect Agent counters.
 ///
@@ -43,16 +44,23 @@ pub struct CollectAgentStats {
 /// (see [`crate::analytics`]).
 pub type ReadingObserver = Arc<dyn Fn(&str, i64, f64) + Send + Sync>;
 
+/// A topic as published: its SID, resolved on the first decoded publish, and
+/// (the encoding negotiated by its last decoded publish, its last reading).
+struct TopicSlot {
+    sid: SensorId,
+    latest: Mutex<(PayloadEncoding, Option<Reading>)>,
+}
+
+// Decode buffer reused by the publishes handled on this thread.
+thread_local!(static DECODED: Cell<Vec<Reading>> = const { Cell::new(Vec::new()) });
+
 /// The Collect Agent.
 pub struct CollectAgent {
     registry: Arc<TopicRegistry>,
     store: Arc<StoreCluster>,
     stats: Arc<CollectAgentStats>,
-    /// Cache of the latest reading per topic (REST API).
-    cache: Arc<RwLock<std::collections::HashMap<String, Reading>>>,
-    /// Payload encoding negotiated per topic (recorded on first contact,
-    /// upgraded when a publisher switches to compression).
-    encodings: RwLock<std::collections::HashMap<String, PayloadEncoding>>,
+    /// Every topic seen, keyed as published.
+    slots: RwLock<std::collections::HashMap<Box<str>, Arc<TopicSlot>>>,
     observers: RwLock<Vec<ReadingObserver>>,
     /// Worker-thread cap applied to [`CollectAgent::sensor_db`] handles
     /// (`--query-threads`); `0` = all cores.
@@ -89,8 +97,7 @@ impl CollectAgent {
             registry,
             store,
             stats,
-            cache: Arc::new(RwLock::new(std::collections::HashMap::new())),
-            encodings: RwLock::new(std::collections::HashMap::new()),
+            slots: RwLock::new(std::collections::HashMap::new()),
             observers: RwLock::new(Vec::new()),
             query_threads: std::sync::atomic::AtomicUsize::new(0),
             handle_ns,
@@ -173,67 +180,56 @@ impl CollectAgent {
         SelfMonitor { stop, handle: Some(handle) }
     }
 
-    /// Handle one publish: topic → SID, payload → readings, write to store.
+    /// Handle one publish: payload → readings, topic → slot, write to store.
     pub fn handle_publish(&self, topic: &str, payload: &[u8]) {
         let start = Instant::now();
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
+        let mut readings = DECODED.take();
         let outcome = (|| -> Option<usize> {
-            let sid = self.registry.resolve(topic).ok()?;
-            let (encoding, decoded) = decode_payload(payload)?;
+            // decode first: a publish that is dropped registers nothing
+            let encoding =
+                decode_payload_each(payload, |ts, value| readings.push(Reading::new(ts, value)))?;
+            let known = self.slots.read().get(topic).cloned();
+            let slot = known.or_else(|| {
+                let sid = self.registry.resolve(topic).ok()?;
+                let slot = Arc::new(TopicSlot { sid, latest: Mutex::new((encoding, None)) });
+                Some(Arc::clone(self.slots.write().entry(topic.into()).or_insert(slot)))
+            })?;
             self.stats.payload_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-            self.stats.fixed_width_bytes.fetch_add(
-                (decoded.len() * dcdb_mqtt::payload::RECORD_SIZE) as u64,
-                Ordering::Relaxed,
-            );
+            let fixed_width = (readings.len() * RECORD_SIZE) as u64;
+            self.stats.fixed_width_bytes.fetch_add(fixed_width, Ordering::Relaxed);
             if encoding == PayloadEncoding::Compressed {
                 self.stats.compressed_messages.fetch_add(1, Ordering::Relaxed);
             }
-            // record the per-topic negotiation; fixed → compressed upgrades
-            // are allowed (a pusher enabling bursts mid-run), downgrades kept
-            // too so stats reflect what the publisher currently sends.  The
-            // encoding is stable for virtually every message after the first,
-            // so check under the shared lock and only write on change — the
-            // handler is the ingest hot path (fig. 8 measures its busy_ns)
-            if self.encodings.read().get(topic) != Some(&encoding) {
-                self.encodings.write().insert(topic.to_string(), encoding);
-            }
-            if decoded.is_empty() {
+            let Some(&last) = readings.last() else {
+                slot.latest.lock().0 = encoding;
                 return Some(0);
-            }
-            let readings: Vec<Reading> =
-                decoded.iter().map(|&(ts, value)| Reading::new(ts, value)).collect();
-            self.store.insert_batch(sid, &readings);
-            if let Some(last) = readings.last() {
-                // advance the store's TTL horizon with the data clock so the
-                // maintenance ticker can expire old readings without the
-                // agent ever reading a wall clock on the ingest path
-                self.store.advance_now(last.ts);
-                self.cache.write().insert(topic.to_string(), *last);
-            }
+            };
+            self.store.insert_batch(slot.sid, &readings);
+            // advance the store's TTL horizon with the data clock so the
+            // maintenance ticker can expire old readings without the
+            // agent ever reading a wall clock on the ingest path
+            self.store.advance_now(last.ts);
+            *slot.latest.lock() = (encoding, Some(last));
             if let Some(engine) = self.alerts.read().as_ref() {
                 // batched: filter match + instance lookup once per publish
                 engine.observe_batch(topic, &readings);
             }
-            {
-                let observers = self.observers.read();
-                if !observers.is_empty() {
-                    for r in &readings {
-                        for obs in observers.iter() {
-                            obs(topic, r.ts, r.value);
-                        }
-                    }
+            let observers = self.observers.read();
+            for r in readings.iter().filter(|_| !observers.is_empty()) {
+                for obs in observers.iter() {
+                    obs(topic, r.ts, r.value);
                 }
             }
             Some(readings.len())
         })();
+        readings.clear();
+        readings.shrink_to(1 << 16); // a pathologically large buffer is not kept
+        DECODED.set(readings);
         match outcome {
-            Some(n) => {
-                self.stats.readings.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            None => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            Some(n) => self.stats.readings.fetch_add(n as u64, Ordering::Relaxed),
+            None => self.stats.dropped.fetch_add(1, Ordering::Relaxed),
+        };
         let elapsed = start.elapsed().as_nanos() as u64;
         self.stats.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
         // the histogram shares busy_ns's measurement, so it costs no extra
@@ -289,7 +285,7 @@ impl CollectAgent {
     /// The payload encoding last negotiated on `topic` (None before the
     /// first successfully decoded publish).
     pub fn topic_encoding(&self, topic: &str) -> Option<PayloadEncoding> {
-        self.encodings.read().get(topic).copied()
+        self.slots.read().get(topic).map(|s| s.latest.lock().0)
     }
 
     /// Latest cached reading of `topic`.
@@ -297,13 +293,16 @@ impl CollectAgent {
         // one guard for both probes: chaining a second `.read()` in the
         // `or_else` closure would re-acquire while the first temporary
         // guard is still live (recursive read, deadlocks behind a writer)
-        let cache = self.cache.read();
-        cache.get(&dcdb_sid::topic::normalize(topic)).copied().or_else(|| cache.get(topic).copied())
+        let slots = self.slots.read();
+        let latest = |t: &str| slots.get(t).and_then(|s| s.latest.lock().1);
+        latest(&dcdb_sid::topic::normalize(topic)).or_else(|| latest(topic))
     }
 
     /// All cached topics, sorted.
     pub fn cached_topics(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.cache.read().keys().cloned().collect();
+        let slots = self.slots.read();
+        let mut v: Vec<String> =
+            slots.iter().filter_map(|(t, s)| s.latest.lock().1.map(|_| t.to_string())).collect();
         v.sort();
         v
     }
@@ -435,8 +434,13 @@ mod tests {
     #[test]
     fn malformed_input_is_dropped_not_stored() {
         let a = agent();
-        a.handle_publish("/bad topic!", &encode_readings(&[(1, 1.0)]));
         a.handle_publish("/good/topic", &[0u8; 7]); // torn payload
+        assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 1);
+        // a dropped publish leaves no trace of its topic
+        assert_eq!(a.registry().len(), 0);
+        assert!(a.cached_topics().is_empty());
+        assert!(a.topic_encoding("/good/topic").is_none());
+        a.handle_publish("/bad topic!", &encode_readings(&[(1, 1.0)]));
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 2);
         assert_eq!(a.stats().readings.load(Ordering::Relaxed), 0);
         assert_eq!(a.store().total_entries(), 0);
@@ -478,6 +482,60 @@ mod tests {
         assert_eq!(a.stats().messages.load(Ordering::Relaxed), 1);
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 0);
         assert_eq!(a.stats().readings.load(Ordering::Relaxed), 0);
+        // the topic registers and negotiates, but has nothing to cache
+        assert_eq!(a.registry().len(), 1);
+        assert_eq!(a.topic_encoding("/s/e"), Some(PayloadEncoding::Fixed));
+        assert!(a.cached_topics().is_empty());
+        assert!(a.cached_latest("/s/e").is_none());
+    }
+
+    #[test]
+    fn cache_is_keyed_as_published_and_probed_normalized_first() {
+        let a = agent();
+        a.handle_publish("/x/y", &encode_readings(&[(1, 1.0)]));
+        assert_eq!(a.cached_latest("x/y").map(|r| r.value), Some(1.0));
+        assert_eq!(a.cached_latest("/x/y").map(|r| r.value), Some(1.0));
+        let b = agent();
+        b.handle_publish("x/y", &encode_readings(&[(2, 2.0)]));
+        assert_eq!(b.cached_latest("x/y").map(|r| r.value), Some(2.0));
+        // neither `/x/y` nor its normalized form was published on `b`
+        assert!(b.cached_latest("/x/y").is_none());
+        assert_eq!(b.topic_encoding("x/y"), Some(PayloadEncoding::Fixed));
+        assert!(b.topic_encoding("/x/y").is_none());
+        // both spellings on one agent: one SID, a cache entry each, and the
+        // normalized spelling answers first
+        a.handle_publish("x/y", &encode_readings(&[(3, 3.0)]));
+        assert_eq!(a.registry().len(), 1);
+        assert_eq!(a.cached_topics(), vec!["/x/y".to_string(), "x/y".to_string()]);
+        assert_eq!(a.cached_latest("x/y").map(|r| r.value), Some(1.0));
+        let sid = a.registry().get("/x/y").unwrap();
+        assert_eq!(a.store().query(sid, TimeRange::all()).len(), 2);
+    }
+
+    #[test]
+    fn racing_first_publishes_share_one_sid_and_slot() {
+        const THREADS: i64 = 4;
+        const PER_THREAD: i64 = 100;
+        let a = agent();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (a, start) = (&a, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let ts = i * THREADS + t;
+                        a.handle_publish("/race/s", &encode_readings(&[(ts, ts as f64)]));
+                    }
+                });
+            }
+        });
+        assert_eq!(a.registry().len(), 1);
+        assert_eq!(a.cached_topics(), vec!["/race/s".to_string()]);
+        let sid = a.registry().get("/race/s").unwrap();
+        let got = a.store().query(sid, TimeRange::all());
+        assert_eq!(got.len() as i64, THREADS * PER_THREAD);
+        assert_eq!(a.stats().readings.load(Ordering::Relaxed) as i64, THREADS * PER_THREAD);
     }
 
     #[test]
@@ -617,8 +675,12 @@ mod tests {
         assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Fixed));
         a.handle_publish("/s/mix", &encode_readings_compressed(&[(20, 2.0), (30, 3.0)]));
         assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Compressed));
+        // and back: the negotiation follows the publisher either way
+        a.handle_publish("/s/mix", &encode_readings(&[(40, 4.0)]));
+        assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Fixed));
+        assert_eq!(a.cached_latest("/s/mix").map(|r| r.value), Some(4.0));
         let sid = a.registry().get("/s/mix").unwrap();
-        assert_eq!(a.store().query(sid, TimeRange::all()).len(), 3);
+        assert_eq!(a.store().query(sid, TimeRange::all()).len(), 4);
         assert!(a.topic_encoding("/s/never").is_none());
     }
 }

@@ -65,6 +65,8 @@ pub struct BrokerStats {
     pub forwarded: AtomicU64,
     /// Protocol errors observed.
     pub errors: AtomicU64,
+    /// Socket reads that returned data, over all connections.
+    pub reads: AtomicU64,
 }
 
 struct Subscriber {
@@ -209,7 +211,10 @@ fn connection_loop(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         }
         match reader.read(&mut chunk) {
             Ok(0) => break Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                shared.stats.reads.fetch_add(1, Ordering::Relaxed);
+                buf.extend_from_slice(&chunk[..n]);
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}

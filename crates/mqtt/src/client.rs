@@ -15,7 +15,12 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use crate::codec::{decode_packet, encode_packet, Packet, QoS};
+use crate::codec::{decode_packet, encode_packet, encode_publish, CodecError, Packet, QoS};
+
+/// Largest socket write [`Client::send_batch`] makes, unless one frame alone
+/// is larger: a pusher's sampling round goes out in as few writes as this
+/// allows, instead of one per reading.
+pub const MAX_BATCH_WRITE: usize = 64 * 1024;
 
 /// Client configuration.
 #[derive(Clone)]
@@ -94,6 +99,69 @@ pub struct ClientStats {
     pub published_bytes: AtomicU64,
     /// Reconnections performed.
     pub reconnects: AtomicU64,
+    /// Socket `write_all` calls after the handshake: one per write-through
+    /// packet, one per ≤ [`MAX_BATCH_WRITE`] bytes of a [`FrameBatch`].
+    pub writes: AtomicU64,
+}
+
+/// PUBLISH frames encoded back to back, for one
+/// [`Client::send_batch`].  The buffer keeps its capacity across batches.
+#[derive(Debug, Default)]
+pub struct FrameBatch {
+    buf: BytesMut,
+    /// The socket writes the frames go out in: whole frames, at most
+    /// [`MAX_BATCH_WRITE`] bytes unless one frame alone is larger.
+    chunks: Vec<Chunk>,
+}
+
+#[derive(Debug)]
+struct Chunk {
+    /// Offset of the write's first byte in `buf`.
+    start: usize,
+    frames: u64,
+    payload_bytes: u64,
+}
+
+impl FrameBatch {
+    /// Append one QoS 0 PUBLISH frame.
+    ///
+    /// # Errors
+    /// Only for payloads too long for one MQTT packet; the batch is then
+    /// unchanged.
+    pub fn push_qos0(&mut self, topic: &str, payload: &[u8]) -> Result<(), CodecError> {
+        self.push(topic, payload, QoS::AtMostOnce, None)
+    }
+
+    fn push(
+        &mut self,
+        topic: &str,
+        payload: &[u8],
+        qos: QoS,
+        pid: Option<u16>,
+    ) -> Result<(), CodecError> {
+        let start = self.buf.len();
+        encode_publish(&mut self.buf, topic, payload, qos, false, false, pid)?;
+        let payload_bytes = payload.len() as u64;
+        match self.chunks.last_mut() {
+            Some(c) if self.buf.len() - c.start <= MAX_BATCH_WRITE => {
+                c.frames += 1;
+                c.payload_bytes += payload_bytes;
+            }
+            _ => self.chunks.push(Chunk { start, frames: 1, payload_bytes }),
+        }
+        Ok(())
+    }
+
+    /// Each socket write's bytes, in order, with its counts.
+    fn chunks(&self) -> impl Iterator<Item = (&[u8], &Chunk)> {
+        let ends = self.chunks.iter().skip(1).map(|c| c.start).chain([self.buf.len()]);
+        self.chunks.iter().zip(ends).map(|(c, end)| (&self.buf[c.start..end], c))
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.chunks.clear();
+    }
 }
 
 /// Packet ids of the QoS 1 publishes still waiting for their PUBACK.  A
@@ -148,6 +216,8 @@ impl PendingAcks {
 pub struct Client {
     cfg: ClientConfig,
     conn: Mutex<Option<Conn>>,
+    /// Frame buffer of the write-through publishes, reused.
+    frame: Mutex<FrameBatch>,
     next_pid: AtomicU16,
     acks: Arc<PendingAcks>,
     on_message: Arc<Mutex<Option<MessageCallback>>>,
@@ -164,6 +234,7 @@ impl Client {
         let client = Arc::new(Client {
             cfg,
             conn: Mutex::new(None),
+            frame: Mutex::default(),
             next_pid: AtomicU16::new(1),
             acks: Arc::default(),
             on_message: Arc::new(Mutex::new(None)),
@@ -298,13 +369,12 @@ impl Client {
             .expect("spawn reader");
     }
 
-    fn send_packet(&self, packet: &Packet) -> Result<(), ClientError> {
+    /// Write `bytes` — whole packets — onto the connection, reconnecting
+    /// and retrying once on failure.
+    fn send_bytes(&self, bytes: &[u8]) -> Result<(), ClientError> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(ClientError::Closed);
         }
-        let mut out = BytesMut::new();
-        encode_packet(packet, &mut out)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         // lint: allow(lock-across-slow-op) -- the connection mutex serialises
         // whole frames onto the socket and guards reconnect; writing outside
         // it would interleave packets from concurrent senders
@@ -314,8 +384,11 @@ impl Client {
                 self.reconnect_locked(&mut conn)?;
             }
             let stream = &mut conn.as_mut().expect("just reconnected").stream;
-            match stream.write_all(&out) {
-                Ok(()) => return Ok(()),
+            match stream.write_all(bytes) {
+                Ok(()) => {
+                    self.stats.writes.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
                 Err(_) => {
                     // drop the broken connection and retry once
                     if let Some(old) = conn.take() {
@@ -327,39 +400,60 @@ impl Client {
         Err(ClientError::Closed)
     }
 
-    /// Publish with QoS 0 (fire and forget) — DCDB's hot path.
+    fn send_packet(&self, packet: &Packet) -> Result<(), ClientError> {
+        let mut out = BytesMut::new();
+        encode_packet(packet, &mut out).map_err(invalid_data)?;
+        self.send_bytes(&out)
+    }
+
+    /// Write every frame of `batch` in order — one socket write per
+    /// ≤ [`MAX_BATCH_WRITE`] bytes — and empty it.  On error the frames not
+    /// yet written are dropped, as a failed [`Client::publish_qos0`] drops
+    /// its one.  A publish issued after this returns follows every frame of
+    /// the batch on the connection.
+    ///
+    /// # Errors
+    /// [`ClientError::Closed`] after [`Client::disconnect`] or when the
+    /// connection cannot be re-established.
+    pub fn send_batch(&self, batch: &mut FrameBatch) -> Result<(), ClientError> {
+        let sent = batch.chunks().try_for_each(|(bytes, chunk)| {
+            self.send_bytes(bytes)?;
+            self.stats.published.fetch_add(chunk.frames, Ordering::Relaxed);
+            self.stats.published_bytes.fetch_add(chunk.payload_bytes, Ordering::Relaxed);
+            Ok(())
+        });
+        batch.clear();
+        sent
+    }
+
+    /// One write-through publish: a batch of one frame.
+    fn publish(
+        &self,
+        topic: &str,
+        payload: &[u8],
+        qos: QoS,
+        pid: Option<u16>,
+    ) -> Result<(), ClientError> {
+        // lint: allow(lock-across-slow-op) -- the buffer is reused by every
+        // publish; it is held while its one frame is written
+        let mut frame = self.frame.lock();
+        frame.push(topic, payload, qos, pid).map_err(invalid_data)?;
+        self.send_batch(&mut frame)
+    }
+
+    /// Publish with QoS 0 (fire and forget), written through.
     pub fn publish_qos0(&self, topic: &str, payload: &[u8]) -> Result<(), ClientError> {
-        self.send_packet(&Packet::Publish {
-            topic: topic.to_string(),
-            payload: Bytes::copy_from_slice(payload),
-            qos: QoS::AtMostOnce,
-            retain: false,
-            dup: false,
-            pid: None,
-        })?;
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        self.stats.published_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        Ok(())
+        self.publish(topic, payload, QoS::AtMostOnce, None)
     }
 
     /// Publish with QoS 1 and wait for the PUBACK.
     pub fn publish_qos1(&self, topic: &str, payload: &[u8]) -> Result<(), ClientError> {
         let pid = self.next_pid.fetch_add(1, Ordering::Relaxed).max(1);
         self.acks.register(pid);
-        let sent = self.send_packet(&Packet::Publish {
-            topic: topic.to_string(),
-            payload: Bytes::copy_from_slice(payload),
-            qos: QoS::AtLeastOnce,
-            retain: false,
-            dup: false,
-            pid: Some(pid),
-        });
-        if let Err(e) = sent {
+        if let Err(e) = self.publish(topic, payload, QoS::AtLeastOnce, Some(pid)) {
             self.acks.wait(pid, Instant::now()); // nothing went out: stop expecting
             return Err(e);
         }
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        self.stats.published_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
         if self.acks.wait(pid, Instant::now() + self.cfg.ack_timeout) {
             Ok(())
         } else {
@@ -389,6 +483,10 @@ impl Client {
             conn.reader_stop.store(true, Ordering::SeqCst);
         }
     }
+}
+
+fn invalid_data(e: CodecError) -> ClientError {
+    ClientError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 impl Drop for Client {
@@ -421,5 +519,44 @@ mod tests {
         acks.register(8);
         assert!(!acks.wait(8, soon()), "a late ack is dropped, not kept");
         assert!(acks.pids.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn frame_batch_holds_encode_packet_frames_cut_at_the_write_limit() {
+        let mut batch = FrameBatch::default();
+        let mut wire = BytesMut::new();
+        let sizes = [1000usize; 200].into_iter().chain([MAX_BATCH_WRITE + 1, 16, 16]);
+        for (i, size) in sizes.enumerate() {
+            let (topic, payload) = (format!("/t/{i}"), vec![i as u8; size]);
+            batch.push_qos0(&topic, &payload).unwrap();
+            let packet = Packet::Publish {
+                topic,
+                payload: Bytes::from(payload),
+                qos: QoS::AtMostOnce,
+                retain: false,
+                dup: false,
+                pid: None,
+            };
+            encode_packet(&packet, &mut wire).unwrap();
+        }
+        assert_eq!(batch.buf[..], wire[..], "same bytes as one encode_packet per frame");
+        let mut frames = Vec::new();
+        for (bytes, chunk) in batch.chunks() {
+            let mut rest = BytesMut::from(bytes);
+            let mut n = 0;
+            while let Some(packet) = decode_packet(&mut rest).unwrap() {
+                frames.push(packet);
+                n += 1;
+            }
+            assert!(rest.is_empty(), "a write holds whole frames");
+            assert_eq!(chunk.frames, n);
+            assert!(bytes.len() <= MAX_BATCH_WRITE || n == 1, "{} bytes in {n}", bytes.len());
+        }
+        assert_eq!(frames.len(), 203);
+        // 64 frames of ~1 KiB per write, then the oversized frame alone
+        let per_write: Vec<u64> = batch.chunks().map(|(_, c)| c.frames).collect();
+        assert_eq!(per_write, [64, 64, 64, 8, 1, 2]);
+        batch.clear();
+        assert!(batch.buf.is_empty() && batch.chunks().next().is_none());
     }
 }

@@ -201,8 +201,11 @@ pub const MAX_PACKET_SIZE: usize = 8 * 1024 * 1024;
 
 // ---------------------------------------------------------------- encoding
 
+/// Largest value the 4-byte remaining-length field can carry.
+const MAX_REMAINING_LENGTH: usize = 268_435_455;
+
 fn put_remaining_length(buf: &mut BytesMut, mut len: usize) -> Result<(), CodecError> {
-    if len > 268_435_455 {
+    if len > MAX_REMAINING_LENGTH {
         return Err(CodecError::RemainingLengthOverflow);
     }
     loop {
@@ -278,25 +281,7 @@ pub fn encode_packet(packet: &Packet, buf: &mut BytesMut) -> Result<(), CodecErr
             buf.put_u8(*code as u8);
         }
         Packet::Publish { topic, payload, qos, retain, dup, pid } => {
-            let mut first = 0x30u8;
-            if *dup {
-                first |= 0x08;
-            }
-            first |= (*qos as u8) << 1;
-            if *retain {
-                first |= 0x01;
-            }
-            let mut len = string_len(topic) + payload.len();
-            if *qos != QoS::AtMostOnce {
-                len += 2;
-            }
-            buf.put_u8(first);
-            put_remaining_length(buf, len)?;
-            put_string(buf, topic);
-            if *qos != QoS::AtMostOnce {
-                buf.put_u16(pid.ok_or(CodecError::Malformed("QoS>0 publish requires pid"))?);
-            }
-            buf.put_slice(payload);
+            encode_publish(buf, topic, payload, *qos, *retain, *dup, *pid)?
         }
         Packet::Puback { pid } => put_ack(buf, 0x40, *pid)?,
         Packet::Pubrec { pid } => put_ack(buf, 0x50, *pid)?,
@@ -343,6 +328,49 @@ pub fn encode_packet(packet: &Packet, buf: &mut BytesMut) -> Result<(), CodecErr
             buf.put_u8(0);
         }
     }
+    Ok(())
+}
+
+/// Encode one PUBLISH frame from borrowed parts onto `buf` — the frame
+/// [`encode_packet`] writes for the equivalent [`Packet::Publish`], without
+/// building one.  On error nothing is written, so frames already in `buf`
+/// stay whole.
+///
+/// # Errors
+/// [`CodecError::Malformed`] for a QoS > 0 publish without `pid`;
+/// [`CodecError::RemainingLengthOverflow`] for over-long payloads.
+pub(crate) fn encode_publish(
+    buf: &mut BytesMut,
+    topic: &str,
+    payload: &[u8],
+    qos: QoS,
+    retain: bool,
+    dup: bool,
+    pid: Option<u16>,
+) -> Result<(), CodecError> {
+    let pid = match qos {
+        QoS::AtMostOnce => None,
+        _ => Some(pid.ok_or(CodecError::Malformed("QoS>0 publish requires pid"))?),
+    };
+    let len = string_len(topic) + payload.len() + if pid.is_some() { 2 } else { 0 };
+    if len > MAX_REMAINING_LENGTH {
+        return Err(CodecError::RemainingLengthOverflow);
+    }
+    let mut first = 0x30u8;
+    if dup {
+        first |= 0x08;
+    }
+    first |= (qos as u8) << 1;
+    if retain {
+        first |= 0x01;
+    }
+    buf.put_u8(first);
+    put_remaining_length(buf, len)?;
+    put_string(buf, topic);
+    if let Some(pid) = pid {
+        buf.put_u16(pid);
+    }
+    buf.put_slice(payload);
     Ok(())
 }
 
@@ -409,7 +437,8 @@ pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
         return Ok(None);
     }
     let first = buf[0];
-    let frame = buf.split_to(total).freeze();
+    let frame = Bytes::copy_from_slice(&buf[..total]);
+    buf.advance(total);
     let mut body = frame.slice(1 + hdr_extra..);
     let ptype = first >> 4;
     let flags = first & 0x0F;
@@ -705,6 +734,7 @@ mod tests {
         };
         let mut buf = BytesMut::new();
         assert!(encode_packet(&p, &mut buf).is_err());
+        assert!(buf.is_empty(), "a failed encode must not leave a partial frame");
     }
 
     #[test]

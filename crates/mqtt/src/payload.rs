@@ -25,7 +25,7 @@
 //! length must all line up); the Collect Agent additionally records each
 //! topic's negotiated encoding on first contact.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Size of one encoded reading.
 pub const RECORD_SIZE: usize = 16;
@@ -44,12 +44,26 @@ pub enum PayloadEncoding {
 
 /// Encode readings into a payload.
 pub fn encode_readings(readings: &[(i64, f64)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(readings.len() * RECORD_SIZE);
-    for &(ts, value) in readings {
-        buf.put_i64_le(ts);
-        buf.put_f64_le(value);
+    let mut out = Vec::with_capacity(readings.len() * RECORD_SIZE);
+    encode_payload_into(readings, PayloadEncoding::Fixed, &mut out);
+    Bytes::from(out)
+}
+
+/// Append the payload of `readings` in `encoding` to `out` — the bytes
+/// [`encode_readings`] / [`encode_readings_compressed`] return.
+pub fn encode_payload_into(readings: &[(i64, f64)], encoding: PayloadEncoding, out: &mut Vec<u8>) {
+    match encoding {
+        PayloadEncoding::Fixed => {
+            for &(ts, value) in readings {
+                out.put_i64_le(ts);
+                out.put_f64_le(value);
+            }
+        }
+        PayloadEncoding::Compressed => {
+            out.extend_from_slice(COMPRESSED_MAGIC);
+            dcdb_compress::encode_series_into(readings, out);
+        }
     }
-    buf.freeze()
 }
 
 /// Decode a payload into readings.
@@ -76,8 +90,7 @@ pub fn decode_readings(payload: &[u8]) -> Option<Vec<(i64, f64)>> {
 /// series bounds pathological batches at `9 + 16·n` bytes.
 pub fn encode_readings_compressed(readings: &[(i64, f64)]) -> Bytes {
     let mut out = Vec::with_capacity(4 + 5 + readings.len() * 4);
-    out.extend_from_slice(COMPRESSED_MAGIC);
-    dcdb_compress::encode_series_into(readings, &mut out);
+    encode_payload_into(readings, PayloadEncoding::Compressed, &mut out);
     Bytes::from(out)
 }
 
@@ -102,12 +115,31 @@ pub fn detect_encoding(payload: &[u8]) -> PayloadEncoding {
 /// fixed-width decoding (see the module docs on collisions).  Returns
 /// `None` on payloads malformed under both interpretations.
 pub fn decode_payload(payload: &[u8]) -> Option<(PayloadEncoding, Vec<(i64, f64)>)> {
-    match detect_encoding(payload) {
-        PayloadEncoding::Compressed => decode_readings_compressed(payload)
-            .map(|r| (PayloadEncoding::Compressed, r))
-            .or_else(|| decode_readings(payload).map(|r| (PayloadEncoding::Fixed, r))),
-        PayloadEncoding::Fixed => decode_readings(payload).map(|r| (PayloadEncoding::Fixed, r)),
+    let mut out = Vec::with_capacity(payload.len() / RECORD_SIZE);
+    let encoding = decode_payload_each(payload, |ts, value| out.push((ts, value)))?;
+    Some((encoding, out))
+}
+
+/// [`decode_payload`] without collecting: calls `each(ts, value)` for every
+/// reading in order and returns the encoding seen.  A payload that fails to
+/// decode calls nothing.
+pub fn decode_payload_each(
+    payload: &[u8],
+    mut each: impl FnMut(i64, f64),
+) -> Option<PayloadEncoding> {
+    if detect_encoding(payload) == PayloadEncoding::Compressed {
+        if let Some(readings) = decode_readings_compressed(payload) {
+            readings.into_iter().for_each(|(ts, value)| each(ts, value));
+            return Some(PayloadEncoding::Compressed);
+        }
     }
+    if !payload.len().is_multiple_of(RECORD_SIZE) {
+        return None;
+    }
+    for mut record in payload.chunks_exact(RECORD_SIZE) {
+        each(record.get_i64_le(), record.get_f64_le());
+    }
+    Some(PayloadEncoding::Fixed)
 }
 
 #[cfg(test)]

@@ -7,23 +7,29 @@
 //! reduced duty cycle interferes less with its small-message MPI traffic).
 //!
 //! The output backend is pluggable: a real TCP MQTT client, the in-process
-//! bus (simulation), or a plain callback (tests).
+//! bus (simulation), or a plain callback (tests).  A TCP backend stages each
+//! message's PUBLISH frame and writes the stage before
+//! [`crate::Pusher::sample_due`] or [`MqttOut::flush`] returns: one socket
+//! write per sampling round or burst (per 64 KiB of frames), not one per
+//! message.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dcdb_mqtt::client::Client;
+use dcdb_mqtt::client::{Client, FrameBatch};
 use dcdb_mqtt::codec::QoS;
 use dcdb_mqtt::inproc::InprocBus;
-use dcdb_mqtt::payload::{encode_readings, encode_readings_compressed, RECORD_SIZE};
+use dcdb_mqtt::payload::{
+    encode_payload_into, encode_readings, encode_readings_compressed, PayloadEncoding, RECORD_SIZE,
+};
 use parking_lot::Mutex;
 
 /// When to ship accumulated readings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendPolicy {
-    /// Publish every reading immediately.
+    /// Publish every reading as its own message as it is sampled.
     Continuous,
     /// Accumulate and flush every `interval_ns` (e.g. 30 s for the paper's
     /// twice-per-minute bursts).
@@ -99,6 +105,9 @@ pub struct MqttOut {
     qos: QoS,
     queue: Mutex<HashMap<String, Vec<(i64, f64)>>>,
     next_flush_ns: Mutex<i64>,
+    /// Frames for a `Tcp` backend, not yet written, and the buffer each
+    /// one's payload is encoded in first.
+    stage: Mutex<(FrameBatch, Vec<u8>)>,
     stats: OutStats,
 }
 
@@ -121,6 +130,7 @@ impl MqttOut {
             qos: QoS::AtMostOnce,
             queue: Mutex::new(HashMap::new()),
             next_flush_ns: Mutex::new(0),
+            stage: Mutex::default(),
             stats: OutStats::default(),
         }
     }
@@ -134,7 +144,12 @@ impl MqttOut {
             SendPolicy::Burst { interval_ns } => {
                 {
                     let mut q = self.queue.lock();
-                    q.entry(topic.to_string()).or_default().push((ts, value));
+                    match q.get_mut(topic) {
+                        Some(readings) => readings.push((ts, value)),
+                        None => {
+                            q.insert(topic.to_string(), vec![(ts, value)]);
+                        }
+                    }
                 }
                 let mut next = self.next_flush_ns.lock();
                 if *next == 0 {
@@ -142,14 +157,20 @@ impl MqttOut {
                 } else if ts >= *next {
                     *next = ts + interval_ns;
                     drop(next);
-                    self.flush();
+                    self.drain_queue();
                 }
             }
         }
     }
 
-    /// Flush all queued readings (also called on shutdown).
+    /// Publish all queued readings and write every staged frame (also
+    /// called on shutdown).
     pub fn flush(&self) {
+        self.drain_queue();
+        self.send_staged();
+    }
+
+    fn drain_queue(&self) {
         let drained: Vec<(String, Vec<(i64, f64)>)> = {
             let mut q = self.queue.lock();
             q.drain().collect()
@@ -163,26 +184,56 @@ impl MqttOut {
         }
     }
 
+    /// Write the frames a `Tcp` backend staged since the last call, in
+    /// order, one socket write per 64 KiB.  A no-op for other backends.
+    pub(crate) fn send_staged(&self) {
+        // typed, so `dcdb-lint`'s lock-order graph sees stage → connection
+        let client: &Client = match &self.backend {
+            MqttBackend::Tcp(client) => client,
+            _ => return,
+        };
+        // lint: allow(lock-across-slow-op) -- the stage is this output's own
+        // buffer; holding it keeps concurrent pushes behind the frames
+        // already staged, so the connection sees them in push order
+        let mut stage = self.stage.lock();
+        let _ = client.send_batch(&mut stage.0);
+    }
+
     fn publish(&self, topic: &str, readings: &[(i64, f64)]) {
-        let payload = match self.compression {
+        let encoding = match self.compression {
             Compression::Batches { min_batch } if readings.len() >= min_batch => {
                 self.stats.compressed_messages.fetch_add(1, Ordering::Relaxed);
-                encode_readings_compressed(readings)
+                PayloadEncoding::Compressed
             }
-            _ => encode_readings(readings),
+            _ => PayloadEncoding::Fixed,
         };
-        self.stats.payload_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        let payload_len = match &self.backend {
+            MqttBackend::Tcp(_) => {
+                let mut stage = self.stage.lock();
+                let (frames, payload) = &mut *stage;
+                payload.clear();
+                encode_payload_into(readings, encoding, payload);
+                // only a payload past MQTT's 256 MB packet limit fails here
+                let _ = frames.push_qos0(topic, payload);
+                payload.len()
+            }
+            backend => {
+                let payload = match encoding {
+                    PayloadEncoding::Compressed => encode_readings_compressed(readings),
+                    PayloadEncoding::Fixed => encode_readings(readings),
+                };
+                match backend {
+                    MqttBackend::Inproc(bus) => bus.publish(topic, &payload, self.qos),
+                    MqttBackend::Callback(cb) => cb(topic, &payload),
+                    MqttBackend::Tcp(_) | MqttBackend::Null => {}
+                }
+                payload.len()
+            }
+        };
+        self.stats.payload_bytes.fetch_add(payload_len as u64, Ordering::Relaxed);
         self.stats
             .fixed_width_bytes
             .fetch_add((readings.len() * RECORD_SIZE) as u64, Ordering::Relaxed);
-        match &self.backend {
-            MqttBackend::Tcp(client) => {
-                let _ = client.publish_qos0(topic, &payload);
-            }
-            MqttBackend::Inproc(bus) => bus.publish(topic, &payload, self.qos),
-            MqttBackend::Callback(cb) => cb(topic, &payload),
-            MqttBackend::Null => {}
-        }
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats.readings.fetch_add(readings.len() as u64, Ordering::Relaxed);
     }

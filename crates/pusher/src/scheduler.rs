@@ -181,6 +181,8 @@ impl Pusher {
     }
 
     /// Sample every group due at or before `now_ns`; returns readings made.
+    /// What the round publishes is handed to the output stage's connection
+    /// before this returns.
     pub fn sample_due(&self, now_ns: i64) -> usize {
         let mut produced = 0usize;
         let plugins = self.plugins.read();
@@ -214,6 +216,8 @@ impl Pusher {
                 }
             }
         }
+        drop(plugins);
+        self.out.send_staged();
         produced
     }
 
