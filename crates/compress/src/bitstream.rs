@@ -1,9 +1,10 @@
-//! MSB-first bit-granular reader/writer over byte buffers.
+//! MSB-first bit-granular writer over a byte buffer.
 //!
-//! The Gorilla codecs emit variable-length codes that are not byte-aligned;
-//! this module provides the minimal primitives they need: append up to 64
-//! bits at a time, read them back in order, and pad the tail byte with
-//! zeroes on [`BitWriter::finish`].
+//! The Gorilla encoders emit variable-length codes that are not
+//! byte-aligned; this module provides the minimal primitive they need:
+//! append up to 64 bits at a time and pad the tail byte with zeroes on
+//! [`BitWriter::finish`].  The one reader is the word-at-a-time decoder in
+//! [`crate::block`].
 
 /// Append-only bit sink.  Bits are packed MSB-first into each byte.
 #[derive(Debug, Default, Clone)]
@@ -76,61 +77,10 @@ impl BitWriter {
     }
 }
 
-/// Sequential bit source over a byte slice; mirrors [`BitWriter`].
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
-    data: &'a [u8],
-    /// Absolute bit cursor.
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Read from the start of `data`.
-    pub fn new(data: &'a [u8]) -> BitReader<'a> {
-        BitReader { data, pos: 0 }
-    }
-
-    /// Bits left before the buffer is exhausted (including tail padding).
-    pub fn remaining_bits(&self) -> usize {
-        self.data.len() * 8 - self.pos
-    }
-
-    /// Read one bit; `None` past the end.
-    #[inline]
-    pub fn read_bit(&mut self) -> Option<bool> {
-        let byte = *self.data.get(self.pos / 8)?;
-        let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Some(bit)
-    }
-
-    /// Read `n ≤ 64` bits MSB-first into the low bits of the result.
-    /// `None` past the end *and* for `n > 64` — decode-side widths can come
-    /// from corrupted input, so the bound is a real error path, not an
-    /// assert compiled out in release.
-    #[inline]
-    pub fn read_bits(&mut self, n: u8) -> Option<u64> {
-        if n > 64 || self.remaining_bits() < n as usize {
-            return None;
-        }
-        let mut out = 0u64;
-        let mut left = n as u32;
-        while left > 0 {
-            let byte = self.data[self.pos / 8];
-            let avail = 8 - (self.pos % 8) as u32;
-            let take = left.min(avail);
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            out = (out << take) | chunk as u64;
-            self.pos += take as usize;
-            left -= take;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::BitReader;
 
     #[test]
     fn single_bits_roundtrip() {

@@ -14,8 +14,8 @@
 //! stores fixed-width records instead.  Pathological series (random
 //! timestamps, white-noise values) therefore cost at most `5 + 16·n` bytes.
 
-use crate::bitstream::{BitReader, BitWriter};
-use crate::gorilla::{TsDecoder, TsEncoder, ValDecoder, ValEncoder};
+use crate::bitstream::BitWriter;
+use crate::gorilla::{TsEncoder, ValEncoder};
 
 /// Magic bytes opening a [`Block`].
 pub const BLOCK_MAGIC: &[u8; 4] = b"DCBK";
@@ -101,12 +101,28 @@ pub fn decode_series(buf: &[u8]) -> Result<Vec<(i64, f64)>, DecodeError> {
 }
 
 /// Decode a series from the front of `buf`, returning the readings and the
-/// number of bytes consumed (used when series are concatenated, as in the
-/// SSTable v2 format).
+/// number of bytes consumed (used when series are concatenated).
 ///
 /// # Errors
 /// See [`decode_series`].
 pub fn decode_series_prefix(buf: &[u8]) -> Result<(Vec<(i64, f64)>, usize), DecodeError> {
+    let mut out = Vec::new();
+    let used = decode_series_into(buf, &mut out, |ts, value| (ts, value))?;
+    Ok((out, used))
+}
+
+/// Decode a series from the front of `buf`, appending `map(ts, value)` per
+/// reading to `out` (callers decode straight into their own reading type),
+/// and return the bytes consumed — the one decoder behind every wrapper
+/// here.  On error `out` is left as it was.
+///
+/// # Errors
+/// See [`decode_series`].
+pub fn decode_series_into<T>(
+    buf: &[u8],
+    out: &mut Vec<T>,
+    mut map: impl FnMut(i64, f64) -> T,
+) -> Result<usize, DecodeError> {
     if buf.len() < SERIES_HEADER_BYTES {
         return Err(DecodeError::BadHeader);
     }
@@ -121,28 +137,108 @@ pub fn decode_series_prefix(buf: &[u8]) -> Result<(Vec<(i64, f64)>, usize), Deco
         if body.len() < need {
             return Err(DecodeError::Truncated);
         }
-        let mut out = Vec::with_capacity(count);
+        out.reserve(count);
         for rec in body[..need].chunks_exact(RAW_RECORD_BYTES) {
             let ts = i64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
             let value = f64::from_bits(u64::from_le_bytes(rec[8..].try_into().expect("8 bytes")));
-            out.push((ts, value));
+            out.push(map(ts, value));
         }
-        return Ok((out, SERIES_HEADER_BYTES + need));
+        return Ok(SERIES_HEADER_BYTES + need);
     }
-    let mut r = BitReader::new(body);
-    let mut ts_dec = TsDecoder::new();
-    let mut val_dec = ValDecoder::new();
     // `count` is untrusted (network payloads land here): a reading costs at
     // least 2 bits, so cap the pre-allocation by what `body` could hold and
     // let the per-reading Truncated check reject the lie
-    let mut out = Vec::with_capacity(count.min(body.len().saturating_mul(4)));
-    for _ in 0..count {
-        let ts = ts_dec.next(&mut r).ok_or(DecodeError::Truncated)?;
-        let value = val_dec.next(&mut r).ok_or(DecodeError::Truncated)?;
-        out.push((ts, value));
+    out.reserve(count.min(body.len().saturating_mul(4)));
+    let start = out.len();
+    match decode_gorilla(body, count, out, &mut map) {
+        Some(used_bits) => Ok(SERIES_HEADER_BYTES + used_bits.div_ceil(8)),
+        None => {
+            out.truncate(start);
+            Err(DecodeError::Truncated)
+        }
     }
-    let used_bits = body.len() * 8 - r.remaining_bits();
-    Ok((out, SERIES_HEADER_BYTES + used_bits.div_ceil(8)))
+}
+
+/// The 64 bits starting `at` bits into `data`, MSB first, zero-filled past
+/// its end (the decoder rejects any reading that ends past it).
+#[inline(always)]
+fn peek(data: &[u8], at: usize) -> u64 {
+    let (byte, shift) = (at / 8, (at % 8) as u32);
+    let word = match data.get(byte..byte + 8) {
+        Some(b) => u64::from_be_bytes(b.try_into().expect("8 bytes")),
+        None => {
+            let (tail, mut b) = (data.get(byte..).unwrap_or_default(), [0u8; 8]);
+            b[..tail.len()].copy_from_slice(tail);
+            u64::from_be_bytes(b)
+        }
+    };
+    // branch-free: at shift 0 the ninth byte shifts out entirely
+    (word << shift) | (u64::from(data.get(byte + 8).copied().unwrap_or(0)) >> (8 - shift))
+}
+
+/// Decode `count` Gorilla readings from `body` into `out`: the bits used,
+/// or `None` when the body ends early or names an impossible XOR window.
+/// Both code tables are in [`crate::gorilla`]; every prefix dispatches
+/// from one 64-bit peek `w` — the delta-of-delta prefix on its count of
+/// leading ones, the XOR control on the top two bits.
+fn decode_gorilla<T>(
+    body: &[u8],
+    count: usize,
+    out: &mut Vec<T>,
+    map: &mut impl FnMut(i64, f64) -> T,
+) -> Option<usize> {
+    if count == 0 {
+        return Some(0);
+    }
+    let end = body.len() * 8;
+    // the first reading is stored verbatim: 64-bit timestamp, 64-bit value
+    let (mut ts, mut bits, mut pos) = (peek(body, 0) as i64, peek(body, 64), 128);
+    if pos > end {
+        return None;
+    }
+    out.push(map(ts, f64::from_bits(bits)));
+    // the `n` bits `off` past `pos` (reloaded when they stick out of `w`)
+    let field = |w: u64, pos: usize, off: u32, n: u32| {
+        (if off + n <= 64 { w << off } else { peek(body, pos + off as usize) }) >> (64 - n)
+    };
+    let (mut delta, mut leading, mut trailing) = (0i64, 0u32, 0u32);
+    for _ in 1..count {
+        let w = peek(body, pos);
+        let (dod, used) = match (!w).leading_zeros() {
+            0 => (0, 1),
+            1 => (field(w, pos, 2, 7) as i64 - 63, 9),
+            2 => (field(w, pos, 3, 9) as i64 - 255, 12),
+            3 => (field(w, pos, 4, 12) as i64 - 2047, 16),
+            4 => (field(w, pos, 5, 32) as i64 - i32::MAX as i64, 37),
+            _ => (field(w, pos, 5, 64) as i64, 69),
+        };
+        pos += used;
+        delta = delta.wrapping_add(dod);
+        ts = ts.wrapping_add(delta);
+        let w = peek(body, pos);
+        if w >> 63 == 0 {
+            pos += 1;
+        } else {
+            let mut off = 2;
+            if (w >> 62) & 1 == 1 {
+                let lead = ((w >> 57) & 31) as u32;
+                let meaningful = ((w >> 51) & 63) as u32 + 1;
+                // malformed streams can claim an impossible window
+                if lead + meaningful > 64 {
+                    return None;
+                }
+                (leading, trailing, off) = (lead, 64 - lead - meaningful, 13);
+            }
+            let meaningful = 64 - leading - trailing;
+            bits ^= field(w, pos, off, meaningful) << trailing;
+            pos += (off + meaningful) as usize;
+        }
+        if pos > end {
+            return None;
+        }
+        out.push(map(ts, f64::from_bits(bits)));
+    }
+    Some(pos)
 }
 
 // ------------------------------------------------------------------ frames
@@ -153,9 +249,9 @@ pub const FRAME_HEADER_BYTES: usize = 8 + 8 + 4 + 4;
 
 /// FNV-1a seed / step for the frame checksum: frames live on disk for
 /// years, and the checksum lets a loader reject bit rot or torn writes
-/// *without* decompressing the payload — so lazy-loading formats (SSTable
-/// v3) keep the v1/v2 property that corruption surfaces as `InvalidData`
-/// at load time, never as a panic at query time.  It covers the
+/// *without* decompressing the payload — so the lazily-loaded `DCDBSST3`
+/// format surfaces corruption as `InvalidData` at load time, never as a
+/// panic at query time.  It covers the
 /// `min_ts`/`max_ts`/`series_len` header fields and the series bytes.
 const FNV_SEED: u32 = 0x811C_9DC5;
 
@@ -169,7 +265,7 @@ fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
 
 /// Metadata of a framed series, readable without decoding the payload —
 /// the pushdown header that lets query engines skip non-intersecting
-/// compressed runs (SSTable v3 blocks are frames).
+/// compressed runs (`DCDBSST3` blocks are frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameInfo {
     /// Smallest timestamp in the frame (0 when empty).
@@ -235,18 +331,36 @@ pub fn peek_frame(buf: &[u8]) -> Result<FrameInfo, DecodeError> {
 }
 
 /// Decode a frame from the front of `buf`, returning the readings and the
-/// bytes consumed (frames concatenate, like SSTable v3 blocks).
+/// bytes consumed (frames concatenate, like SSTable blocks).
 ///
 /// # Errors
 /// See [`peek_frame`] and [`decode_series`].
 pub fn decode_framed_prefix(buf: &[u8]) -> Result<(Vec<(i64, f64)>, usize), DecodeError> {
+    let mut out = Vec::new();
+    let used = decode_framed_into(buf, &mut out, |ts, value| (ts, value))?;
+    Ok((out, used))
+}
+
+/// [`decode_framed_prefix`] appending `map(ts, value)` per reading to
+/// `out` (see [`decode_series_into`]); the frame checksum is verified on
+/// every call.  On error `out` is left as it was.
+///
+/// # Errors
+/// See [`peek_frame`] and [`decode_series`].
+pub fn decode_framed_into<T>(
+    buf: &[u8],
+    out: &mut Vec<T>,
+    map: impl FnMut(i64, f64) -> T,
+) -> Result<usize, DecodeError> {
     let info = peek_frame(buf)?;
     let series = &buf[FRAME_HEADER_BYTES..info.total_len];
-    let (readings, used) = decode_series_prefix(series)?;
-    if readings.len() != info.count || used > series.len() {
+    let start = out.len();
+    let used = decode_series_into(series, out, map)?;
+    if out.len() - start != info.count || used > series.len() {
+        out.truncate(start);
         return Err(DecodeError::Truncated);
     }
-    Ok((readings, info.total_len))
+    Ok(info.total_len)
 }
 
 /// A decoded self-describing block.

@@ -1,11 +1,12 @@
-//! The Gorilla stream codecs: delta-of-delta timestamps, XOR floats.
+//! The Gorilla stream encoders: delta-of-delta timestamps, XOR floats.
+//! Their one decoder is the word-at-a-time kernel in [`crate::block`].
 //!
 //! Both codecs are *lossless bit-for-bit*: timestamps use wrapping `i64`
 //! arithmetic so pathological series spanning the full integer range still
 //! roundtrip, and values are compared and stored as raw IEEE-754 bit
 //! patterns so NaN payloads, signed zeroes and infinities all survive.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitWriter;
 
 /// Encoder state for a delta-of-delta timestamp stream.
 ///
@@ -72,55 +73,6 @@ fn write_dod(w: &mut BitWriter, dod: i64) {
     }
 }
 
-/// Decoder matching [`TsEncoder`].
-#[derive(Debug, Default, Clone)]
-pub struct TsDecoder {
-    prev_ts: i64,
-    prev_delta: i64,
-    count: u64,
-}
-
-impl TsDecoder {
-    /// Fresh decoder.
-    pub fn new() -> TsDecoder {
-        TsDecoder::default()
-    }
-
-    /// Read the next timestamp; `None` on a truncated stream.
-    pub fn next(&mut self, r: &mut BitReader<'_>) -> Option<i64> {
-        let ts = if self.count == 0 {
-            r.read_bits(64)? as i64
-        } else {
-            let dod = read_dod(r)?;
-            let delta = self.prev_delta.wrapping_add(dod);
-            self.prev_delta = delta;
-            self.prev_ts.wrapping_add(delta)
-        };
-        self.prev_ts = ts;
-        self.count += 1;
-        Some(ts)
-    }
-}
-
-fn read_dod(r: &mut BitReader<'_>) -> Option<i64> {
-    if !r.read_bit()? {
-        return Some(0);
-    }
-    if !r.read_bit()? {
-        return Some(r.read_bits(7)? as i64 - 63);
-    }
-    if !r.read_bit()? {
-        return Some(r.read_bits(9)? as i64 - 255);
-    }
-    if !r.read_bit()? {
-        return Some(r.read_bits(12)? as i64 - 2047);
-    }
-    if !r.read_bit()? {
-        return Some(r.read_bits(32)? as i64 - i32::MAX as i64);
-    }
-    Some(r.read_bits(64)? as i64)
-}
-
 /// Encoder state for an XOR-compressed `f64` stream.
 ///
 /// Each value is XORed against the previous value's bit pattern:
@@ -179,52 +131,10 @@ impl ValEncoder {
     }
 }
 
-/// Decoder matching [`ValEncoder`].
-#[derive(Debug, Default, Clone)]
-pub struct ValDecoder {
-    prev_bits: u64,
-    leading: u8,
-    trailing: u8,
-    count: u64,
-}
-
-impl ValDecoder {
-    /// Fresh decoder.
-    pub fn new() -> ValDecoder {
-        ValDecoder::default()
-    }
-
-    /// Read the next value; `None` on a truncated stream.
-    pub fn next(&mut self, r: &mut BitReader<'_>) -> Option<f64> {
-        let bits = if self.count == 0 {
-            r.read_bits(64)?
-        } else if !r.read_bit()? {
-            self.prev_bits
-        } else {
-            if r.read_bit()? {
-                let leading = r.read_bits(5)? as u8;
-                let meaningful = r.read_bits(6)? as u8 + 1;
-                // malformed streams can claim an impossible window
-                let used = leading as u32 + meaningful as u32;
-                if used > 64 {
-                    return None;
-                }
-                self.leading = leading;
-                self.trailing = (64 - used) as u8;
-            }
-            let meaningful = 64 - self.leading - self.trailing;
-            let xor = r.read_bits(meaningful)? << self.trailing;
-            self.prev_bits ^ xor
-        };
-        self.prev_bits = bits;
-        self.count += 1;
-        Some(f64::from_bits(bits))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{BitReader, TsDecoder, ValDecoder};
 
     fn roundtrip_ts(input: &[i64]) {
         let mut w = BitWriter::new();

@@ -15,20 +15,19 @@
 //!
 //! ## Layers
 //!
-//! * [`bitstream`] — MSB-first [`BitWriter`]/[`BitReader`] primitives,
-//! * [`gorilla`] — the two stream codecs: [`TsEncoder`]/[`TsDecoder`]
-//!   (delta-of-delta, wrapping `i64` arithmetic so any timestamp sequence
-//!   roundtrips) and [`ValEncoder`]/[`ValDecoder`] (XOR floats, bit-exact
-//!   for NaN payloads, ±∞ and −0.0),
+//! * [`bitstream`] — the MSB-first [`BitWriter`],
+//! * [`gorilla`] — the two stream encoders: [`TsEncoder`] (delta-of-delta,
+//!   wrapping `i64` arithmetic so any timestamp sequence roundtrips) and
+//!   [`ValEncoder`] (XOR floats, bit-exact for NaN payloads, ±∞ and −0.0),
 //! * [`block`] — self-describing framing: [`encode_series`] /
 //!   [`decode_series`] (`flags + count + payload`, with a fixed-width
 //!   **raw fallback** for pathological series), [`Block`] (adds
 //!   `magic + version + sid + min/max ts`) and **frames**
-//!   ([`encode_framed_into`] / [`peek_frame`] /
-//!   [`decode_framed_prefix`]) — a series prefixed with a
-//!   `(min_ts, max_ts, series length)` pushdown header so query engines can
-//!   skip compressed runs that do not intersect a time range *without
-//!   decoding them* (the SSTable v3 block format).
+//!   ([`encode_framed_into`] / [`peek_frame`] / [`decode_framed_into`]) — a
+//!   series prefixed with a `(min_ts, max_ts, series length)` pushdown
+//!   header so query engines can skip compressed runs that do not
+//!   intersect a time range *without decoding them* (the `DCDBSST3` block
+//!   format) — and the one decoder, [`decode_series_into`].
 //!
 //! ## Wire formats
 //!
@@ -48,9 +47,8 @@
 //!
 //! ## Integration points
 //!
-//! * `dcdb-store` — the `DCDBSST2` on-disk SSTable format stores each
-//!   sensor's run as one compressed series; the v1 fixed-width reader is
-//!   kept for backward compatibility,
+//! * `dcdb-store` — the `DCDBSST3` on-disk SSTable format stores each
+//!   sensor's run as a sequence of frames of up to 512 readings,
 //! * `dcdb-mqtt` — `payload::encode_readings_compressed` frames a series
 //!   behind a 4-byte magic so the Collect Agent can negotiate per topic
 //!   between fixed-width and compressed payloads,
@@ -75,11 +73,14 @@ pub mod bitstream;
 pub mod block;
 pub mod gorilla;
 
-pub use bitstream::{BitReader, BitWriter};
+#[cfg(test)]
+mod reference;
+
+pub use bitstream::BitWriter;
 pub use block::{
-    compression_ratio, decode_framed_prefix, decode_series, decode_series_prefix,
-    encode_framed_into, encode_series, encode_series_into, peek_frame, Block, DecodeError,
-    FrameInfo, BLOCK_HEADER_BYTES, BLOCK_MAGIC, BLOCK_VERSION, FLAG_RAW, FRAME_HEADER_BYTES,
-    RAW_RECORD_BYTES, SERIES_HEADER_BYTES,
+    compression_ratio, decode_framed_into, decode_framed_prefix, decode_series, decode_series_into,
+    decode_series_prefix, encode_framed_into, encode_series, encode_series_into, peek_frame, Block,
+    DecodeError, FrameInfo, BLOCK_HEADER_BYTES, BLOCK_MAGIC, BLOCK_VERSION, FLAG_RAW,
+    FRAME_HEADER_BYTES, RAW_RECORD_BYTES, SERIES_HEADER_BYTES,
 };
-pub use gorilla::{TsDecoder, TsEncoder, ValDecoder, ValEncoder};
+pub use gorilla::{TsEncoder, ValEncoder};

@@ -425,6 +425,45 @@ impl WindowedAgg {
         }
     }
 
+    /// Fold one in-order slice of a series in (a series may arrive as many
+    /// consecutive slices) — the bulk twin of [`WindowedAgg::feed_series`],
+    /// bit-identical to it.  For `avg`/`sum`/`count`/`min`/`max` the slice
+    /// is cut at window boundaries with `partition_point` and each run
+    /// folds in a tight loop, in push order, into only the fields `finish`
+    /// reads.  The other aggregations go through `feed_series`, `rate` with
+    /// each slice as a whole series — so feed rate series whole there.
+    pub fn feed_slice(&mut self, readings: &[Reading]) {
+        let agg = self.agg;
+        if !matches!(agg, AggFn::Avg | AggFn::Sum | AggFn::Count | AggFn::Min | AggFn::Max) {
+            return self.feed_series(readings.iter().copied());
+        }
+        let mut rest = readings;
+        while let Some(first) = rest.first() {
+            let key = self.window_start(first.ts);
+            let end = key + self.window as i128;
+            // `first` is in the window, so every run makes progress
+            let (run, tail) =
+                rest.split_at(1 + rest[1..].partition_point(|r| (r.ts as i128) < end));
+            rest = tail;
+            let state = self.windows.entry(key).or_insert_with(|| WinState::Simple(Simple::new()));
+            let WinState::Simple(s) = state else {
+                // lint: allow(no-unwrap) -- every state of this accumulator
+                // was created from its own AggFn; a mismatch cannot occur
+                unreachable!("window states match the aggregation")
+            };
+            s.n += run.len() as u64;
+            // the very statements of `Simple::push`, so even NaN payloads match
+            match agg {
+                AggFn::Avg | AggFn::Sum => run.iter().for_each(|r| s.sum += r.value),
+                AggFn::Min | AggFn::Max => run.iter().for_each(|r| {
+                    s.min = s.min.min(r.value);
+                    s.max = s.max.max(r.value);
+                }),
+                _ => {}
+            }
+        }
+    }
+
     /// Emit one reading per non-empty window, stamped at the window start,
     /// in window order.
     pub fn finish(self) -> Vec<Reading> {

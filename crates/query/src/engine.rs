@@ -174,24 +174,19 @@ impl QueryEngine {
     ) -> WindowedAgg {
         let mut w = WindowedAgg::new(agg, window_ns);
         for &(sid, scale) in sids {
-            let mut iter = self.series(sid, range);
-            if scale == 1.0 {
-                // skip the multiply so unscaled results stay bit-identical
-                // with aggregation over raw store readings
-                if iter.is_single_run() && !matches!(agg, AggFn::Rate) {
-                    // bulk path: whole decoded batches go straight into the
-                    // fold, skipping per-reading iterator plumbing.  Same
-                    // pushes in the same order, so bit-identical; `rate` is
-                    // excluded because each feed call closes a series and
-                    // batches must not split one series' first/last pairs.
-                    while let Some(batch) = iter.next_batch() {
-                        w.feed_series(batch.iter().copied());
-                    }
-                } else {
-                    w.feed_series(iter);
-                }
-            } else {
+            let iter = self.series(sid, range);
+            if scale != 1.0 {
                 w.feed_series(iter.map(|r| Reading { ts: r.ts, value: r.value * scale }));
+            } else if matches!(agg, AggFn::Rate) {
+                // each feed call closes a rate series: slices must not split
+                // one series' first/last pairs
+                w.feed_series(iter);
+            } else {
+                // bulk path, unscaled (so results stay bit-identical with
+                // aggregation over raw store readings): the shared block
+                // payloads go straight into the window-run fold.  Same
+                // pushes in the same order as feeding the iterator.
+                iter.for_each_slice(|slice| w.feed_slice(slice));
             }
         }
         w
@@ -235,29 +230,11 @@ impl QueryEngine {
         // so group keys need no Send/Sync bounds
         let (keys, sid_lists): (Vec<K>, Vec<Vec<(SensorId, f64)>>) =
             groups.into_iter().map(|g| (g.key, g.sids)).unzip();
-        // flatten every group into chunk-level tasks so a single wide
-        // group parallelises too (intra-group fan-in)
-        let tasks: Vec<(usize, &[(SensorId, f64)])> = sid_lists
-            .iter()
-            .enumerate()
-            .flat_map(|(group, sids)| sids.chunks(FANIN_CHUNK).map(move |c| (group, c)))
-            .collect();
+        let tasks = chunk_tasks(&sid_lists);
         let partials = exec::run_tasks(tasks.len(), threads, |i| {
             self.fan_in_chunk(tasks[i].1, range, window_ns, agg)
         });
-        // merge each group's chunk partials in chunk order — deterministic
-        // whatever the schedule was
-        let mut accs: Vec<Option<WindowedAgg>> = keys.iter().map(|_| None).collect();
-        for ((group, _), partial) in tasks.into_iter().zip(partials) {
-            match &mut accs[group] {
-                Some(acc) => acc.merge(partial),
-                empty => *empty = Some(partial),
-            }
-        }
-        keys.into_iter()
-            .zip(accs)
-            .map(|(key, acc)| (key, acc.map_or_else(Vec::new, WindowedAgg::finish)))
-            .collect()
+        merge_groups(keys, &tasks, partials)
     }
 
     /// [`QueryEngine::aggregate_grouped_on`] with per-stage tracing: the
@@ -277,11 +254,7 @@ impl QueryEngine {
         let threads = if threads == 0 { exec::default_parallelism() } else { threads };
         let (keys, sid_lists): (Vec<K>, Vec<Vec<(SensorId, f64)>>) =
             groups.into_iter().map(|g| (g.key, g.sids)).unzip();
-        let tasks: Vec<(usize, &[(SensorId, f64)])> = sid_lists
-            .iter()
-            .enumerate()
-            .flat_map(|(group, sids)| sids.chunks(FANIN_CHUNK).map(move |c| (group, c)))
-            .collect();
+        let tasks = chunk_tasks(&sid_lists);
         let mut fold = TraceSpan::new("fold");
         fold.put("groups", keys.len() as u64);
         fold.put("chunks", tasks.len() as u64);
@@ -303,17 +276,7 @@ impl QueryEngine {
         }
         let (out, merge_span) = TraceSpan::time("merge", |span| {
             span.put("groups", keys.len() as u64);
-            let mut accs: Vec<Option<WindowedAgg>> = keys.iter().map(|_| None).collect();
-            for ((group, _), partial) in tasks.into_iter().zip(partials) {
-                match &mut accs[group] {
-                    Some(acc) => acc.merge(partial),
-                    empty => *empty = Some(partial),
-                }
-            }
-            keys.into_iter()
-                .zip(accs)
-                .map(|(key, acc)| (key, acc.map_or_else(Vec::new, WindowedAgg::finish)))
-                .collect::<Vec<(K, Vec<Reading>)>>()
+            merge_groups(keys, &tasks, partials)
         });
         let mut root = TraceSpan::new("execute");
         root.wall_ns = fold.wall_ns + merge_span.wall_ns;
@@ -321,6 +284,36 @@ impl QueryEngine {
         root.push_child(merge_span);
         (out, root)
     }
+}
+
+/// Flatten every group into [`FANIN_CHUNK`]-sensor `(group, chunk)` tasks,
+/// so a single wide group parallelises too (intra-group fan-in).
+fn chunk_tasks(sid_lists: &[Vec<(SensorId, f64)>]) -> Vec<(usize, &[(SensorId, f64)])> {
+    sid_lists
+        .iter()
+        .enumerate()
+        .flat_map(|(group, sids)| sids.chunks(FANIN_CHUNK).map(move |c| (group, c)))
+        .collect()
+}
+
+/// Merge each group's chunk partials in chunk order — deterministic
+/// whatever the schedule was — and finish them, in group order.
+fn merge_groups<K>(
+    keys: Vec<K>,
+    tasks: &[(usize, &[(SensorId, f64)])],
+    partials: Vec<WindowedAgg>,
+) -> Vec<(K, Vec<Reading>)> {
+    let mut accs: Vec<Option<WindowedAgg>> = keys.iter().map(|_| None).collect();
+    for (&(group, _), partial) in tasks.iter().zip(partials) {
+        match &mut accs[group] {
+            Some(acc) => acc.merge(partial),
+            empty => *empty = Some(partial),
+        }
+    }
+    keys.into_iter()
+        .zip(accs)
+        .map(|(k, acc)| (k, acc.map_or_else(Vec::new, WindowedAgg::finish)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,67 +9,46 @@
 //! readings — the exact semantics of `StoreNode::query_range`, without ever
 //! materialising the full series.
 
+use std::sync::Arc;
+
 use dcdb_store::reading::{Reading, TimeRange};
-use dcdb_store::sstable::BlockRef;
+use dcdb_store::sstable::{BlockRef, BLOCK_LEN};
 use dcdb_store::{SeriesSnapshot, SnapshotRun};
 
-/// One merge source: a queue of undecoded blocks plus the decoded readings
-/// of the block currently under the cursor.
+/// One merge source: a queue of undecoded blocks plus the shared payload of
+/// the block under the cursor, of which `[pos, end)` is in range and not
+/// yet consumed.  Block payloads are never copied: the cursor walks the
+/// (possibly cache-owned) `Arc` itself.
 struct Source {
     blocks: std::vec::IntoIter<BlockRef>,
-    /// Decoded in-range readings of the block under the cursor; consumed
-    /// from `pos` so whole unconsumed batches can be handed out by value.
-    current: Vec<Reading>,
+    current: Arc<[Reading]>,
     pos: usize,
+    end: usize,
     peeked: Option<Reading>,
 }
 
 impl Source {
-    /// Pull the next reading, decoding the next block when the current one
-    /// is exhausted.
+    /// The unconsumed in-range readings under the cursor, decoding forward
+    /// past blocks that hold none (a block can intersect the range by
+    /// header yet hold no in-range reading); `None` once exhausted.
+    fn rest(&mut self, range: TimeRange) -> Option<&[Reading]> {
+        while self.pos == self.end {
+            // lazy decode: this is the only place payload bytes expand
+            self.current = self.blocks.next()?.decode_shared();
+            let span = range.span_in(&self.current);
+            (self.pos, self.end) = (span.start, span.end);
+        }
+        Some(&self.current[self.pos..self.end])
+    }
+
+    /// Pull the next reading.
     fn next_reading(&mut self, range: TimeRange) -> Option<Reading> {
         if let Some(r) = self.peeked.take() {
             return Some(r);
         }
-        loop {
-            if let Some(&r) = self.current.get(self.pos) {
-                self.pos += 1;
-                return Some(r);
-            }
-            // lazy decode: this is the only place payload bytes expand
-            let block = self.blocks.next()?;
-            self.current.clear();
-            self.current.reserve(block.count());
-            block.decode_range(range, &mut self.current);
-            self.pos = 0;
-        }
-    }
-
-    /// Pull the whole remaining batch under the cursor (the memtable slice
-    /// or one lazily-decoded block), decoding forward as needed.
-    fn next_batch(&mut self, range: TimeRange) -> Option<Vec<Reading>> {
-        if let Some(r) = self.peeked.take() {
-            return Some(vec![r]);
-        }
-        loop {
-            if self.pos < self.current.len() {
-                let batch = if self.pos == 0 {
-                    std::mem::take(&mut self.current)
-                } else {
-                    self.current.split_off(self.pos)
-                };
-                self.current = Vec::new();
-                self.pos = 0;
-                return Some(batch);
-            }
-            // a block can intersect the range by header yet hold no
-            // in-range reading (gaps); keep decoding forward
-            let block = self.blocks.next()?;
-            let mut buf = Vec::with_capacity(block.count());
-            block.decode_range(range, &mut buf);
-            self.current = buf;
-            self.pos = 0;
-        }
+        let r = *self.rest(range)?.first()?;
+        self.pos += 1;
+        Some(r)
     }
 
     fn peek(&mut self, range: TimeRange) -> Option<Reading> {
@@ -87,55 +66,60 @@ pub struct SeriesIter {
     sources: Vec<Source>,
     drop_ranges: Vec<TimeRange>,
     range: TimeRange,
-    remaining_hint: usize,
 }
 
 impl SeriesIter {
     /// Build from a snapshot captured by
     /// [`dcdb_store::StoreNode::series_snapshot`].
     pub fn new(snapshot: SeriesSnapshot, range: TimeRange) -> SeriesIter {
-        let remaining_hint = snapshot.max_len();
         let sources = snapshot
             .runs
             .into_iter()
-            .map(|run| match run {
-                SnapshotRun::Blocks(blocks) => {
-                    Source { blocks: blocks.into_iter(), current: Vec::new(), pos: 0, peeked: None }
-                }
-                SnapshotRun::Readings(readings) => Source {
-                    blocks: Vec::new().into_iter(),
-                    current: readings,
-                    pos: 0,
-                    peeked: None,
-                },
+            .map(|run| {
+                let (blocks, current): (_, Arc<[Reading]>) = match run {
+                    SnapshotRun::Blocks(blocks) => (blocks, Arc::from([])),
+                    SnapshotRun::Readings(readings) => (Vec::new(), Arc::from(readings)),
+                };
+                let end = current.len();
+                Source { blocks: blocks.into_iter(), current, pos: 0, end, peeked: None }
             })
             .collect();
-        SeriesIter { sources, drop_ranges: snapshot.drop_ranges, range, remaining_hint }
+        SeriesIter { sources, drop_ranges: snapshot.drop_ranges, range }
     }
 
     /// True when the snapshot holds exactly one run and nothing is
     /// tombstoned or expired — no duplicate timestamps to resolve, no
-    /// readings to drop, so batch pulling ([`SeriesIter::next_batch`])
-    /// yields exactly what iteration yields.
-    pub fn is_single_run(&self) -> bool {
+    /// readings to drop.
+    fn is_single_run(&self) -> bool {
         self.sources.len() == 1 && self.drop_ranges.is_empty()
     }
 
-    /// Single-run bulk pull: the next decoded in-range batch (the memtable
-    /// slice, or one lazily-decoded block) by value — the zero-overhead
-    /// feed for aggregation over a single run.  Must only be called when
-    /// [`SeriesIter::is_single_run`] is true and the iterator has not been
-    /// advanced; interleaving with `next()` is allowed but batches then
-    /// resume after the last pulled reading.
-    pub fn next_batch(&mut self) -> Option<Vec<Reading>> {
-        debug_assert!(self.is_single_run(), "next_batch requires a single-run snapshot");
-        let batch = self.sources.first_mut()?.next_batch(self.range)?;
-        self.remaining_hint = self.remaining_hint.saturating_sub(batch.len());
-        Some(batch)
-    }
-
-    fn dropped(&self, ts: i64) -> bool {
-        self.drop_ranges.iter().any(|r| r.contains(ts))
+    /// Visit every remaining reading, in order, as consecutive slices — the
+    /// bulk feed for aggregation.  A single-run snapshot hands out each
+    /// block's shared in-range payload as is (the memtable slice, or one
+    /// lazily-decoded block, no copy); any other snapshot runs the k-way
+    /// merge and hands out its output in [`BLOCK_LEN`]-reading chunks.
+    pub fn for_each_slice(mut self, mut f: impl FnMut(&[Reading])) {
+        if !self.is_single_run() {
+            let mut chunk = Vec::with_capacity(BLOCK_LEN);
+            for r in self {
+                chunk.push(r);
+                if chunk.len() == BLOCK_LEN {
+                    f(&chunk);
+                    chunk.clear();
+                }
+            }
+            if !chunk.is_empty() {
+                f(&chunk);
+            }
+            return;
+        }
+        // single-run sources are never peeked: only the merge peeks
+        let (range, source) = (self.range, &mut self.sources[0]);
+        while let Some(slice) = source.rest(range) {
+            f(slice);
+            source.pos = source.end;
+        }
     }
 }
 
@@ -148,9 +132,7 @@ impl Iterator for SeriesIter {
         // duplicate timestamps to resolve, so skip the k-way merge
         // machinery and pull straight from it.
         if self.is_single_run() {
-            let r = self.sources[0].next_reading(self.range)?;
-            self.remaining_hint = self.remaining_hint.saturating_sub(1);
-            return Some(r);
+            return self.sources[0].next_reading(self.range);
         }
         loop {
             // Smallest timestamp across sources; on ties the later (newer)
@@ -168,17 +150,12 @@ impl Iterator for SeriesIter {
             for source in self.sources.iter_mut() {
                 if source.peeked.is_some_and(|r| r.ts == chosen.ts) {
                     source.peeked = None;
-                    self.remaining_hint = self.remaining_hint.saturating_sub(1);
                 }
             }
-            if !self.dropped(chosen.ts) {
+            if !self.drop_ranges.iter().any(|r| r.contains(chosen.ts)) {
                 return Some(chosen);
             }
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining_hint))
     }
 }
 

@@ -301,6 +301,7 @@ fn register_cluster_metrics(
     });
     sum(reg, "dcdb_stalls_total", Kind::Counter, |n| n.stats().stalls.load(Ordering::Relaxed));
     sum(reg, "dcdb_blocks_decoded_total", Kind::Counter, StoreNode::blocks_decoded);
+    sum(reg, "dcdb_readings_decoded_total", Kind::Counter, StoreNode::readings_decoded);
     sum(reg, "dcdb_blocks_corrupt_total", Kind::Counter, StoreNode::blocks_corrupt);
     sum(reg, "dcdb_blocks_held", Kind::Gauge, |n| n.block_count() as u64);
     sum(reg, "dcdb_entries_held", Kind::Gauge, |n| n.approx_entries() as u64);
@@ -445,6 +446,8 @@ mod tests {
         assert_eq!(counter("dcdb_flushes_total"), ms.flushes);
         assert_eq!(counter("dcdb_compactions_total"), ms.compactions);
         assert_eq!(counter("dcdb_blocks_decoded_total"), c.blocks_decoded());
+        let readings: u64 = (0..2).map(|i| c.node(i).readings_decoded()).sum();
+        assert_eq!(counter("dcdb_readings_decoded_total"), readings);
         let cs = c.cache_stats();
         assert_eq!(counter("dcdb_cache_hits_total"), cs.hits);
         assert_eq!(counter("dcdb_cache_misses_total"), cs.misses);

@@ -44,7 +44,7 @@ use crate::cache::{BlockCache, CacheStats};
 use crate::maintenance::{unix_ms, MaintenancePool, MaintenanceSnapshot, PoolShared};
 use crate::memtable::MemTable;
 use crate::reading::{Reading, TimeRange, Timestamp};
-use crate::sstable::{BlockRef, SsTable};
+use crate::sstable::{BlockRef, DecodeCounters, SsTable};
 
 /// One source run inside a [`SeriesSnapshot`].
 #[derive(Debug, Clone)]
@@ -68,24 +68,6 @@ pub struct SeriesSnapshot {
     /// Timestamp ranges whose readings must be dropped (tombstones covering
     /// this sensor, plus the TTL horizon).
     pub drop_ranges: Vec<TimeRange>,
-}
-
-impl SeriesSnapshot {
-    /// Is `ts` hidden by a tombstone or the TTL horizon?
-    pub fn dropped(&self, ts: Timestamp) -> bool {
-        self.drop_ranges.iter().any(|r| r.contains(ts))
-    }
-
-    /// Upper bound on readings in the snapshot (duplicates included).
-    pub fn max_len(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|r| match r {
-                SnapshotRun::Blocks(blocks) => blocks.iter().map(BlockRef::count).sum(),
-                SnapshotRun::Readings(v) => v.len(),
-            })
-            .sum()
-    }
 }
 
 /// Tuning for one storage node.
@@ -293,6 +275,9 @@ pub(crate) struct NodeCore {
     /// loads (`None` = always decode).  May be shared with other nodes of
     /// a cluster for one process-wide reading budget.
     cache: Option<Arc<BlockCache>>,
+    /// Query decode counters every table of this node feeds — monotonic,
+    /// unlike a sum over the live tables, which compaction rewinds.
+    decodes: Arc<DecodeCounters>,
     /// Monotonic "now" for TTL decisions, advanced by the caller; avoids
     /// wall-clock reads in the hot path and keeps simulations deterministic.
     now: AtomicU64,
@@ -425,7 +410,7 @@ impl NodeCore {
             if !mt.is_empty() {
                 let t0 = Instant::now();
                 let table = SsTable::from_sorted_cached(mt.sorted_entries(), core.cache.clone());
-                table.attach_journal(&core.instruments.events);
+                table.attach_node(&core.instruments.events, &core.decodes);
                 core.sstables.write().push(table);
                 core.instruments.flush_ns.observe(t0.elapsed().as_nanos() as u64);
                 core.stats.flushes.fetch_add(1, Ordering::Relaxed);
@@ -535,7 +520,7 @@ impl NodeCore {
             |sid, ts| covers(&tombs_snapshot, sid, ts) || cutoff.is_some_and(|c| ts < c),
             core.cache.clone(),
         );
-        merged.attach_journal(&core.instruments.events);
+        merged.attach_node(&core.instruments.events, &core.decodes);
         {
             let mut tables = core.sstables.write();
             let n = snap_ids.len();
@@ -688,6 +673,7 @@ impl StoreNode {
             stats: NodeStats::default(),
             instruments,
             cache,
+            decodes: Arc::default(),
             now: AtomicU64::new(0),
         });
         if let Some(pool) = &pool {
@@ -933,18 +919,25 @@ impl StoreNode {
         SeriesSnapshot { runs, drop_ranges }
     }
 
-    /// Compressed blocks decoded by queries against this node's current
-    /// SSTables (resets when compaction replaces them).  With a block cache
-    /// attached this counts cache misses only — a warm query decodes 0.
+    /// Compressed blocks decoded by queries against this node since it
+    /// was built — monotonic across compactions, which decode but are no
+    /// query.  With a block cache attached this counts cache misses only —
+    /// a warm query decodes 0.
     pub fn blocks_decoded(&self) -> u64 {
-        self.core.sstables.read().iter().map(|t| t.blocks_decoded()).sum()
+        self.core.decodes.blocks.load(Ordering::Relaxed)
     }
 
-    /// Blocks of the current SSTables whose payload failed its checksummed
-    /// decode — corruption that would otherwise silently surface as missing
-    /// readings (see [`SsTable::blocks_corrupt`]).
+    /// Readings produced by the decodes [`StoreNode::blocks_decoded`]
+    /// counts.
+    pub fn readings_decoded(&self) -> u64 {
+        self.core.decodes.readings.load(Ordering::Relaxed)
+    }
+
+    /// Blocks whose payload failed its checksummed decode since the node
+    /// was built — corruption that would otherwise silently surface as
+    /// missing readings (see [`SsTable::blocks_corrupt`]).
     pub fn blocks_corrupt(&self) -> u64 {
-        self.core.sstables.read().iter().map(|t| t.blocks_corrupt()).sum()
+        self.core.decodes.corrupt.load(Ordering::Relaxed)
     }
 
     /// The node's decoded-block cache, when one is configured.
@@ -1083,7 +1076,7 @@ impl StoreNode {
         for p in paths {
             let mut f = std::fs::File::open(&p)?;
             let table = SsTable::read_from_cached(&mut f, self.core.cache.clone())?;
-            table.attach_journal(&self.core.instruments.events);
+            table.attach_node(&self.core.instruments.events, &self.core.decodes);
             staged.push(table);
         }
         let loaded = staged.len();
@@ -1210,6 +1203,63 @@ mod tests {
         node.insert(sid(1), 10, 3.0);
         assert_eq!(node.latest(sid(1)).map(|r| r.value), Some(3.0));
         assert_eq!(node.query_range(sid(1), TimeRange::all()).last().map(|r| r.value), Some(3.0));
+    }
+
+    /// A one-block `DCDBSST3` image whose frame passes its checksum but
+    /// whose series claims `extra` more readings than its bitstream holds.
+    fn forged_image(s: SensorId, n: i64, extra: u32) -> Vec<u8> {
+        let run: Vec<(i64, f64)> = (0..n).map(|ts| (ts, ts as f64)).collect();
+        let mut frame = Vec::new();
+        dcdb_compress::encode_framed_into(&run, &mut frame);
+        let hdr = dcdb_compress::FRAME_HEADER_BYTES;
+        let count = n as u32 + extra;
+        frame[hdr + 1..hdr + 5].copy_from_slice(&count.to_le_bytes());
+        // re-seal: FNV-1a over the header fields and the series bytes
+        let fnv = |h: u32, b: &[u8]| {
+            b.iter().fold(h, |h, &x| (h ^ u32::from(x)).wrapping_mul(0x0100_0193))
+        };
+        let sum = fnv(fnv(0x811C_9DC5, &frame[..20]), &frame[hdr..]);
+        frame[20..24].copy_from_slice(&sum.to_le_bytes());
+        let mut image = b"DCDBSST3".to_vec();
+        image.extend_from_slice(&u64::from(count).to_be_bytes());
+        image.extend_from_slice(&1u64.to_be_bytes());
+        image.extend_from_slice(&s.raw().to_be_bytes());
+        image.extend_from_slice(&1u32.to_be_bytes());
+        image.extend_from_slice(&frame);
+        image
+    }
+
+    #[test]
+    fn decode_counters_never_go_backwards() {
+        let dir = std::env::temp_dir().join(format!("dcdb-store-decodes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("000000.sst"), forged_image(sid(2), 100, 1000)).unwrap();
+        let node = StoreNode::new(NodeConfig {
+            memtable_flush_entries: 512,
+            compaction_threshold: usize::MAX,
+            ..Default::default()
+        });
+        for ts in 0..4096 {
+            node.insert(sid(1), ts, ts as f64);
+        }
+        node.flush(); // eight one-block tables
+        node.load(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(node.query_range(sid(1), TimeRange::all()).len(), 4096);
+        assert!(
+            node.query_range(sid(2), TimeRange::all()).is_empty(),
+            "corrupt block yields nothing"
+        );
+        let counters =
+            |n: &StoreNode| (n.blocks_decoded(), n.readings_decoded(), n.blocks_corrupt());
+        assert_eq!(counters(&node), (9, 4096, 1));
+        // the merge replaces every table: a sum over live tables would fall
+        // back to 0 here; its full scan is no query and does not count,
+        // but it does meet the corrupt block again
+        node.compact();
+        assert_eq!(counters(&node), (9, 4096, 2));
+        assert_eq!(node.query_range(sid(1), TimeRange::all()).len(), 4096);
+        assert_eq!(counters(&node), (17, 8192, 2));
     }
 
     #[test]

@@ -58,6 +58,13 @@ impl TimeRange {
         self.start < other.end && other.start < self.end
     }
 
+    /// The index span of `readings` (sorted by timestamp) that falls in
+    /// the range.
+    pub fn span_in(&self, readings: &[Reading]) -> std::ops::Range<usize> {
+        let lo = readings.partition_point(|r| r.ts < self.start);
+        lo..lo + readings[lo..].partition_point(|r| r.ts < self.end)
+    }
+
     /// Duration in nanoseconds (saturating).
     pub fn duration(&self) -> i64 {
         self.end.saturating_sub(self.start)

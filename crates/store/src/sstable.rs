@@ -54,36 +54,54 @@ pub struct BlockRef {
     inner: Arc<BlockInner>,
 }
 
+/// Query decode counters: a table's own, and the node-wide set every table
+/// of a node feeds, so compaction replacing tables never rewinds them.
+/// Compaction's full scans ([`SsTable::iter`]) are not query decodes and
+/// do not count; corrupt blocks count whoever finds them.
+#[derive(Debug, Default)]
+pub struct DecodeCounters {
+    /// Blocks decoded (= decoded-block cache misses).
+    pub blocks: AtomicU64,
+    /// Readings those decodes produced.
+    pub readings: AtomicU64,
+    /// Blocks whose checksummed payload failed to decode.
+    pub corrupt: AtomicU64,
+}
+
 /// Per-table context shared by all of a table's blocks: identity, decode /
 /// corruption counters and the (optional) decoded-block cache.
 #[derive(Debug)]
 struct TableCtx {
     table_id: u64,
-    /// Decode (= cache miss) counter.
-    decodes: AtomicU64,
-    /// Blocks whose checksummed payload failed to decode.
-    corrupt: AtomicU64,
+    counters: DecodeCounters,
     /// Set when the table has been replaced (compaction): decodes by
     /// still-running queries stop populating the cache, so purged entries
     /// cannot be resurrected under a dead table id.
     retired: std::sync::atomic::AtomicBool,
     cache: Option<Arc<BlockCache>>,
-    /// Event journal to report corrupt blocks to (attached by the owning
-    /// node via [`SsTable::attach_journal`]; a free-standing table only
-    /// counts and logs).
-    journal: std::sync::OnceLock<Arc<dcdb_obs::EventJournal>>,
+    /// The owning node's event journal and counters (attached via
+    /// [`SsTable::attach_node`]; a free-standing table only counts and
+    /// logs).
+    node: std::sync::OnceLock<(Arc<dcdb_obs::EventJournal>, Arc<DecodeCounters>)>,
 }
 
 impl TableCtx {
     fn new(cache: Option<Arc<BlockCache>>) -> Arc<TableCtx> {
         Arc::new(TableCtx {
             table_id: TABLE_IDS.fetch_add(1, Ordering::Relaxed),
-            decodes: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
+            counters: DecodeCounters::default(),
             retired: std::sync::atomic::AtomicBool::new(false),
             cache,
-            journal: std::sync::OnceLock::new(),
+            node: std::sync::OnceLock::new(),
         })
+    }
+
+    /// Bump `field` of the table's counters and of its node's.
+    fn count(&self, field: fn(&DecodeCounters) -> &AtomicU64, n: u64) {
+        field(&self.counters).fetch_add(n, Ordering::Relaxed);
+        if let Some((_, node)) = self.node.get() {
+            field(node).fetch_add(n, Ordering::Relaxed);
+        }
     }
 }
 
@@ -148,33 +166,26 @@ impl BlockRef {
         self.inner.count
     }
 
-    /// Does the block's `[min_ts, max_ts]` span intersect `range`?
-    pub fn intersects(&self, range: TimeRange) -> bool {
-        self.inner.min_ts < range.end && self.inner.max_ts >= range.start
-    }
-
-    /// Decode the frame unconditionally: bumps the owning table's
-    /// [`SsTable::blocks_decoded`] counter, and on failure logs, bumps the
-    /// corruption counter ([`SsTable::blocks_corrupt`]) and yields an empty
-    /// payload.  Frames are checksum-verified at load, so a failure here
-    /// means a forged payload that survived the checksum; an empty result
-    /// (plus the counter, which monitoring can alert on) beats poisoning
-    /// the whole process — and beats the old `debug_assert!` that made
-    /// release builds lose data *silently*.
+    /// Decode the frame unconditionally, checksum included, straight into
+    /// [`Reading`]s.  On failure it logs, bumps the corruption counters
+    /// ([`SsTable::blocks_corrupt`]) and yields an empty payload.  Frames
+    /// are checksum-verified at load, so a failure here means a forged
+    /// payload that survived the checksum; an empty result (plus the
+    /// counter, which monitoring can alert on) beats poisoning the whole
+    /// process — and beats a `debug_assert!` that would make release
+    /// builds lose data *silently*.
     fn decode_fresh(&self) -> Arc<[Reading]> {
-        self.inner.ctx.decodes.fetch_add(1, Ordering::Relaxed);
-        match dcdb_compress::decode_framed_prefix(&self.inner.frame) {
-            Ok((readings, _)) => {
-                readings.into_iter().map(|(ts, value)| Reading { ts, value }).collect()
-            }
+        let mut readings = Vec::new();
+        match dcdb_compress::decode_framed_into(&self.inner.frame, &mut readings, Reading::new) {
+            Ok(_) => Arc::from(readings),
             Err(e) => {
-                self.inner.ctx.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.inner.ctx.count(|c| &c.corrupt, 1);
                 eprintln!(
                     "dcdb-store: checksummed block failed to decode \
                      (table {} sid {:#x} block {}): {e}",
                     self.inner.ctx.table_id, self.inner.sid.0, self.inner.block_idx,
                 );
-                if let Some(journal) = self.inner.ctx.journal.get() {
+                if let Some((journal, _)) = self.inner.ctx.node.get() {
                     journal.record(
                         dcdb_obs::EventKind::CorruptBlock,
                         dcdb_obs::Severity::Error,
@@ -190,44 +201,26 @@ impl BlockRef {
         }
     }
 
-    /// The block's decoded readings, shared: served from the owning
-    /// table's [`BlockCache`] when one is attached and holds the block
-    /// (no decompression, no counter bump), decoded fresh otherwise.
-    /// Retired tables (replaced by compaction) decode fresh without
-    /// touching the cache, so in-flight queries cannot re-insert entries
-    /// under a table id that was just purged.
+    /// The block's decoded readings (timestamp order), shared: served
+    /// from the owning table's [`BlockCache`] when one is attached and
+    /// holds the block (no decompression, no counter bump), decoded fresh
+    /// and counted ([`SsTable::blocks_decoded`]) otherwise.  Retired tables
+    /// (replaced by compaction) decode fresh without touching the cache,
+    /// so in-flight queries cannot re-insert entries under a table id that
+    /// was just purged.
     pub fn decode_shared(&self) -> Arc<[Reading]> {
-        let Some(cache) = &self.inner.ctx.cache else {
-            return self.decode_fresh();
-        };
-        if self.inner.ctx.retired.load(Ordering::Relaxed) {
-            return self.decode_fresh();
-        }
-        let key = self.key();
-        if let Some(hit) = cache.get(key) {
+        let ctx = &self.inner.ctx;
+        let cache = ctx.cache.as_ref().filter(|_| !ctx.retired.load(Ordering::Relaxed));
+        if let Some(hit) = cache.and_then(|c| c.get(self.key())) {
             return hit;
         }
         let decoded = self.decode_fresh();
-        cache.insert(key, Arc::clone(&decoded));
-        decoded
-    }
-
-    /// Decompress the block into `(ts, value)` pairs (timestamp order),
-    /// consulting the decoded-block cache first (see
-    /// [`BlockRef::decode_shared`]).
-    pub fn decode(&self) -> Vec<(Timestamp, f64)> {
-        self.decode_shared().iter().map(|r| (r.ts, r.value)).collect()
-    }
-
-    /// Decode only the readings within `range`, appended to `out`.
-    pub fn decode_range(&self, range: TimeRange, out: &mut Vec<Reading>) {
-        if !self.intersects(range) {
-            return;
+        ctx.count(|c| &c.blocks, 1);
+        ctx.count(|c| &c.readings, decoded.len() as u64);
+        if let Some(cache) = cache {
+            cache.insert(self.key(), Arc::clone(&decoded));
         }
-        let readings = self.decode_shared();
-        let lo = readings.partition_point(|r| r.ts < range.start);
-        let hi = lo + readings[lo..].partition_point(|r| r.ts < range.end);
-        out.extend_from_slice(&readings[lo..hi]);
+        decoded
     }
 
     /// Encoded frame size in bytes.
@@ -336,7 +329,7 @@ impl SsTable {
     /// cache attached this counts cache *misses* only: a hit serves the
     /// already-decoded payload and does no decompression work.
     pub fn blocks_decoded(&self) -> u64 {
-        self.ctx.decodes.load(Ordering::Relaxed)
+        self.ctx.counters.blocks.load(Ordering::Relaxed)
     }
 
     /// The table's process-unique id — the cache-key component that lets
@@ -350,14 +343,20 @@ impl SsTable {
     /// so silent data loss is impossible: a corrupt block yields no
     /// readings but always leaves a trace here and in the log.
     pub fn blocks_corrupt(&self) -> u64 {
-        self.ctx.corrupt.load(Ordering::Relaxed)
+        self.ctx.counters.corrupt.load(Ordering::Relaxed)
     }
 
-    /// Report future corrupt-block decodes of this table (and its clones)
-    /// to `journal` as typed [`dcdb_obs::EventKind::CorruptBlock`] events.
-    /// First attachment wins; later calls are no-ops.
-    pub fn attach_journal(&self, journal: &Arc<dcdb_obs::EventJournal>) {
-        let _ = self.ctx.journal.set(Arc::clone(journal));
+    /// Attach the owning node: future decodes of this table (and its
+    /// clones) also feed the node's `counters`, and corrupt blocks are
+    /// reported to `journal` as typed
+    /// [`dcdb_obs::EventKind::CorruptBlock`] events.  First attachment
+    /// wins; later calls are no-ops.
+    pub fn attach_node(
+        &self,
+        journal: &Arc<dcdb_obs::EventJournal>,
+        counters: &Arc<DecodeCounters>,
+    ) {
+        let _ = self.ctx.node.set((Arc::clone(journal), Arc::clone(counters)));
     }
 
     /// Total number of compressed blocks.
@@ -379,7 +378,8 @@ impl SsTable {
     /// decoding only the intersecting blocks.
     pub fn query(&self, sid: SensorId, range: TimeRange, out: &mut Vec<Reading>) {
         for block in self.blocks_for(sid, range) {
-            block.decode_range(range, out);
+            let payload = block.decode_shared();
+            out.extend_from_slice(&payload[range.span_in(&payload)]);
         }
     }
 
@@ -393,14 +393,12 @@ impl SsTable {
 
     /// Latest reading of `sid` (decodes at most one block).
     pub fn latest(&self, sid: SensorId) -> Option<Reading> {
-        let blocks = self.runs.get(&sid)?;
-        let last = blocks.last()?;
-        last.decode().last().map(|&(ts, value)| Reading { ts, value })
+        self.runs.get(&sid)?.last()?.decode_shared().last().copied()
     }
 
     /// Iterate over all entries in `(sid, ts)` order, decoding every block
-    /// (used by compaction).  Bypasses the
-    /// decoded-block cache entirely: a maintenance full scan inserting
+    /// (used by compaction).  Bypasses the decoded-block cache and the
+    /// query decode counters entirely: a maintenance full scan inserting
     /// every block would evict the dashboards' hot entries and skew the
     /// hit/miss statistics with traffic no query issued.
     pub fn iter(&self) -> impl Iterator<Item = (SensorId, Timestamp, f64)> + '_ {
