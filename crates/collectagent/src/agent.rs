@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -148,26 +149,13 @@ impl CollectAgent {
         interval: Duration,
         f: impl Fn(&Arc<CollectAgent>, i64) + Send + 'static,
     ) -> SelfMonitor {
-        let stop = Arc::new(AtomicBool::new(false));
+        // the guard holds the sender: dropping it ends the wait at once
+        let (stop, stopped) = mpsc::channel::<()>();
         let weak: Weak<CollectAgent> = Arc::downgrade(self);
-        let stop_t = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name(name.into())
             .spawn(move || {
-                // sleep in short slices so drop/stop is prompt even with
-                // multi-second intervals
-                let slice = interval.min(Duration::from_millis(50)).max(Duration::from_millis(1));
-                let mut elapsed = Duration::ZERO;
-                loop {
-                    std::thread::sleep(slice);
-                    if stop_t.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    elapsed += slice;
-                    if elapsed < interval {
-                        continue;
-                    }
-                    elapsed = Duration::ZERO;
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let Some(agent) = weak.upgrade() else { return };
                     let now = std::time::SystemTime::now()
                         .duration_since(std::time::UNIX_EPOCH)
@@ -177,7 +165,7 @@ impl CollectAgent {
                 }
             })
             .expect("spawn periodic agent thread");
-        SelfMonitor { stop, handle: Some(handle) }
+        SelfMonitor { stop: Some(stop), handle: Some(handle) }
     }
 
     /// Handle one publish: payload → readings, topic → slot, write to store.
@@ -354,7 +342,7 @@ impl CollectAgent {
 /// Handle on a background agent loop (self-monitoring or alert ticking);
 /// stops the thread on drop.
 pub struct SelfMonitor {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -365,7 +353,7 @@ impl SelfMonitor {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop = None;
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

@@ -4,9 +4,11 @@
 //! paper §3.1) and by integration tests against the REST APIs.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use crate::server::read_head;
 
 /// A parsed HTTP response.
 #[derive(Debug)]
@@ -70,24 +72,13 @@ fn request(
     writer.flush()?;
 
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 =
-        status_line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-        })?;
-    let mut headers = HashMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-    }
+    let bad_status = || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line");
+    let (status_line, headers) = read_head(&mut reader)?.ok_or_else(bad_status)?;
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(bad_status)?;
     let mut resp_body = Vec::new();
     if let Some(len) = headers.get("content-length").and_then(|v| v.parse::<usize>().ok()) {
         resp_body.resize(len, 0);

@@ -6,7 +6,10 @@
 //! provides just enough substrate for those endpoints, built from scratch:
 //!
 //! * [`json`] — a small JSON value type with writer and parser,
-//! * [`server`] — a threaded HTTP/1.1 server with request parsing,
+//! * [`mod@serve`] — the blocking connection runtime (one accept loop, one
+//!   thread per connection, stopped by a socket shutdown) under both this
+//!   server and the MQTT broker,
+//! * [`server`] — an HTTP/1.1 server with request parsing,
 //! * [`router`] — path routing with `:param` captures,
 //! * [`client`] — a tiny blocking HTTP client (used by the REST plugin and
 //!   in tests).
@@ -17,8 +20,10 @@
 pub mod client;
 pub mod json;
 pub mod router;
+pub mod serve;
 pub mod server;
 
 pub use json::Json;
 pub use router::Router;
+pub use serve::{serve, Server};
 pub use server::{HttpServer, Method, Request, Response, StatusCode};

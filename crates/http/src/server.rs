@@ -1,18 +1,31 @@
-//! A threaded HTTP/1.1 server.
+//! A blocking HTTP/1.1 server.
 //!
-//! Parses request line, headers, query string and body (Content-Length);
-//! one thread per connection with keep-alive support.  This carries DCDB's
-//! Pusher/Collect Agent REST endpoints.
+//! Parses request line, headers, query string and body (Content-Length)
+//! and serves keep-alive connections.  This carries DCDB's Pusher/Collect
+//! Agent REST endpoints.
+//!
+//! Connections run on [`serve`]: one thread per connection, blocked in
+//! `read` while idle and stopped by a socket shutdown, so an idle server
+//! wakes no thread.  The 10 s idle read timeout is a deadline for silent
+//! clients, not a poll.  A request line or header over [`MAX_LINE`] bytes,
+//! more than [`MAX_HEADERS`] headers, or a body over [`MAX_BODY`] bytes is
+//! answered `400` and the connection is closed.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::json::Json;
+use crate::serve::{serve, Server};
+
+/// Longest request line or header line accepted, line ending included.
+pub const MAX_LINE: usize = 8 * 1024;
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
+/// Largest request body accepted.
+pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
 /// Request methods supported by the REST APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,11 +188,10 @@ pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// Request handler signature.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A running HTTP server; dropping it stops the listener.
+/// A running HTTP server; dropping it stops the listener and closes every
+/// connection.
 pub struct HttpServer {
-    addr: SocketAddr,
-    running: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl HttpServer {
@@ -187,77 +199,47 @@ impl HttpServer {
     ///
     /// # Errors
     /// Propagates bind failures.
-    pub fn start(bind: SocketAddr, handler: Handler) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-        let r2 = Arc::clone(&running);
-        let accept_thread =
-            std::thread::Builder::new().name("http-accept".into()).spawn(move || {
-                while r2.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let h = Arc::clone(&handler);
-                            let rc = Arc::clone(&r2);
-                            let _ = std::thread::Builder::new().name("http-conn".into()).spawn(
-                                move || {
-                                    let _ = serve_connection(stream, h, rc);
-                                },
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(HttpServer { addr, running, accept_thread: Some(accept_thread) })
+    pub fn start(bind: SocketAddr, handler: Handler) -> io::Result<HttpServer> {
+        let server = serve(TcpListener::bind(bind)?, "http", move |stream| {
+            let _ = serve_connection(stream, &handler);
+        })?;
+        Ok(HttpServer { server })
     }
 
     /// Bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stop accepting connections.
+    /// Stop accepting connections and close the open ones.
     pub fn shutdown(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    handler: Handler,
-    running: Arc<AtomicBool>,
-) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, handler: &Handler) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    while running.load(Ordering::SeqCst) {
-        let Some(req) = read_request(&mut reader)? else {
-            return Ok(()); // connection closed
+    // head and body of each response, written with one `write_all`
+    let mut out = Vec::new();
+    loop {
+        let req = match read_request(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) => return Ok(()), // connection closed
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let resp = Response::error(StatusCode::BadRequest, &e.to_string());
+                return write_response(reader.get_mut(), &mut out, &resp, false);
+            }
+            Err(e) => return Err(e),
         };
         let keep_alive =
             req.headers.get("connection").map(|v| !v.eq_ignore_ascii_case("close")).unwrap_or(true);
-        let resp = handler(&req);
-        write_response(&mut writer, &resp, keep_alive)?;
+        write_response(reader.get_mut(), &mut out, &handler(&req), keep_alive)?;
         if !keep_alive {
             return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Percent-decode a URL component.
@@ -302,19 +284,49 @@ pub fn parse_query(q: &str) -> HashMap<String, String> {
     map
 }
 
-fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            return Ok(None)
-        }
-        Err(e) => return Err(e),
+fn bad_request(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// `read_line` that fails with `InvalidData` past [`MAX_LINE`] bytes.
+fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(line)?;
+    if n > MAX_LINE {
+        return Err(bad_request("line too long"));
     }
+    Ok(n)
+}
+
+/// A start line and the header lines after it, keys lower-cased; `None`
+/// when the stream ends first.  Past [`MAX_LINE`] bytes in a line or
+/// [`MAX_HEADERS`] headers, `InvalidData`.
+pub(crate) fn read_head<R: BufRead>(
+    reader: &mut R,
+) -> io::Result<Option<(String, HashMap<String, String>)>> {
+    let mut start = String::new();
+    if read_line_capped(reader, &mut start)? == 0 {
+        return Ok(None);
+    }
+    let mut headers = HashMap::new();
+    for n in 0.. {
+        let mut h = String::new();
+        read_line_capped(reader, &mut h)?;
+        let h = h.trim_end();
+        if h.is_empty() {
+            break;
+        }
+        if n == MAX_HEADERS {
+            return Err(bad_request("too many headers"));
+        }
+        if let Some((k, v)) = h.split_once(':') {
+            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        }
+    }
+    Ok(Some((start, headers)))
+}
+
+fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let Some((line, headers)) = read_head(reader)? else { return Ok(None) };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return Ok(None);
@@ -323,41 +335,33 @@ fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> 
     let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
     let path = url_decode(raw_path);
     let query = parse_query(raw_query);
-
-    let mut headers = HashMap::new();
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h)?;
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-    }
     let len: usize = headers.get("content-length").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let mut body = vec![0u8; len.min(16 * 1024 * 1024)];
-    if len > 0 {
-        reader.read_exact(&mut body)?;
+    if len > MAX_BODY {
+        return Err(bad_request("body too large"));
     }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body)?;
     Ok(Some(Request { method, path, query, params: HashMap::new(), headers, body }))
 }
 
-fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+/// Write `resp` with one `write_all`, staging head and body in `out`.
+fn write_response<W: Write>(
+    w: &mut W,
+    out: &mut Vec<u8>,
+    resp: &Response,
+    keep_alive: bool,
+) -> io::Result<()> {
+    out.clear();
+    write!(
+        out,
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         resp.status.line(),
         resp.content_type,
-        resp.body.len()
-    );
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n\r\n"
-    } else {
-        "Connection: close\r\n\r\n"
-    });
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)
+        resp.body.len(),
+        if keep_alive { "keep-alive" } else { "close" }
+    )?;
+    out.extend_from_slice(&resp.body);
+    w.write_all(out)
 }
 
 #[cfg(test)]
@@ -392,6 +396,22 @@ mod tests {
         assert_eq!(e.status.code(), 404);
         assert!(String::from_utf8_lossy(&e.body).contains("no such sensor"));
         assert!(Response::no_content().body.is_empty());
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let handler: Handler = Arc::new(|_| Response::text("ok"));
+        let server = HttpServer::start("127.0.0.1:0".parse().unwrap(), handler).unwrap();
+        for _ in 0..500 {
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut got = Vec::new();
+            s.read_to_end(&mut got).unwrap();
+            assert!(got.ends_with(b"close\r\n\r\nok"));
+        }
+        // the registry's clone is each socket's last descriptor: EOF came
+        // after its entry was removed
+        assert_eq!(server.server.connections(), 0);
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! End-to-end tests of the HTTP server + client over real sockets.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
+use dcdb_http::server::{MAX_BODY, MAX_HEADERS, MAX_LINE};
 use dcdb_http::{client, json::Json, HttpServer, Method, Response, Router};
 
 fn demo_server() -> HttpServer {
@@ -80,4 +85,81 @@ fn concurrent_requests() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// Send `raw` on a fresh connection and read until the server closes it;
+/// a read timeout fails the test.
+fn exchange(srv: &HttpServer, raw: &[u8]) -> String {
+    let mut s = TcpStream::connect(srv.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    s.write_all(raw).unwrap();
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match s.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => got.extend_from_slice(&chunk[..n]),
+            // the server closes with request bytes still unread
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("connection left open: {e}; read so far {got:?}"),
+        }
+    }
+    String::from_utf8_lossy(&got).into_owned()
+}
+
+fn assert_rejected(response: &str, why: &str) {
+    assert!(response.starts_with("HTTP/1.1 400 "), "{why}: {response:?}");
+    assert!(response.contains("Connection: close\r\n"), "{why}: {response:?}");
+    assert_eq!(response.matches("HTTP/1.1").count(), 1, "{why}: one response, then close");
+}
+
+#[test]
+fn over_long_request_line_is_400_and_closes() {
+    let srv = demo_server();
+    let target = format!("/query?a={}", "x".repeat(MAX_LINE));
+    let raw = format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_rejected(&exchange(&srv, raw.as_bytes()), "request line");
+}
+
+#[test]
+fn too_many_headers_is_400_and_closes() {
+    let srv = demo_server();
+    let mut raw = String::from("GET /hello HTTP/1.1\r\n");
+    for i in 0..=MAX_HEADERS {
+        raw.push_str(&format!("X-H{i}: v\r\n"));
+    }
+    raw.push_str("\r\n");
+    assert_rejected(&exchange(&srv, raw.as_bytes()), "header count");
+    // the limit itself is accepted
+    let mut ok = String::from("GET /hello HTTP/1.1\r\nConnection: close\r\n");
+    for i in 1..MAX_HEADERS {
+        ok.push_str(&format!("X-H{i}: v\r\n"));
+    }
+    ok.push_str("\r\n");
+    assert!(exchange(&srv, ok.as_bytes()).starts_with("HTTP/1.1 200 "));
+}
+
+#[test]
+fn over_cap_body_is_400_not_a_second_request() {
+    let srv = demo_server();
+    // were the body cut at the cap, the bytes after it would be parsed as
+    // the next request on the same connection
+    let raw = format!("PUT /store HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+    assert_rejected(&exchange(&srv, raw.as_bytes()), "body length");
+}
+
+#[test]
+fn shutdown_closes_an_idle_keep_alive_connection() {
+    let mut srv = demo_server();
+    let mut s = TcpStream::connect(srv.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /hello HTTP/1.1\r\n\r\n").unwrap();
+    let mut buf = [0u8; 4096];
+    let n = s.read(&mut buf).unwrap();
+    assert!(buf[..n].ends_with(b"keep-alive\r\n\r\nworld"), "{:?}", &buf[..n]);
+    let start = Instant::now();
+    srv.shutdown();
+    assert_eq!(s.read(&mut buf).unwrap(), 0, "EOF");
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_millis(100), "EOF after {waited:?}");
 }

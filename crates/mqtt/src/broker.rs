@@ -1,4 +1,4 @@
-//! A threaded MQTT 3.1.1 TCP broker.
+//! An MQTT 3.1.1 TCP broker.
 //!
 //! The DCDB Collect Agent embeds a *custom MQTT implementation that only
 //! provides a subset of features necessary for its tasks*: it supports the
@@ -9,19 +9,22 @@
 //! and SUBSCRIBE support can be switched on for the general-purpose case
 //! (the paper notes additional subscribers, e.g. on-line analytics, are
 //! possible).
+//!
+//! Connections run on [`dcdb_http::serve()`]: one thread per connection,
+//! blocked in `read` on its [`PacketReader`] while idle and stopped by a
+//! socket shutdown, so an idle broker wakes no thread.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
+use dcdb_http::{serve, Server};
 use parking_lot::Mutex;
 
-use crate::codec::{decode_packet, encode_packet, ConnectReturnCode, Packet, QoS};
+use crate::codec::{encode_packet, ConnectReturnCode, Packet, PacketReader, QoS};
 use crate::topic::filter_matches;
 
 /// Callback receiving every PUBLISH accepted by the broker.
@@ -30,7 +33,7 @@ use crate::topic::filter_matches;
 /// to forward readings to Storage Backends without a subscription round-trip.
 pub type PublishSink = Arc<dyn Fn(&str, &Bytes, QoS) + Send + Sync>;
 
-/// Broker tuning knobs.
+/// Broker settings.
 #[derive(Clone)]
 pub struct BrokerConfig {
     /// Address to bind (use port 0 for an ephemeral port in tests).
@@ -38,17 +41,11 @@ pub struct BrokerConfig {
     /// Whether SUBSCRIBE/UNSUBSCRIBE are honoured.  Defaults to `false`,
     /// mirroring the publish-only Collect Agent broker.
     pub allow_subscribe: bool,
-    /// Read timeout used to poll for shutdown.
-    pub read_timeout: Duration,
 }
 
 impl Default for BrokerConfig {
     fn default() -> Self {
-        BrokerConfig {
-            bind: "127.0.0.1:0".parse().expect("static addr"),
-            allow_subscribe: false,
-            read_timeout: Duration::from_millis(100),
-        }
+        BrokerConfig { bind: "127.0.0.1:0".parse().expect("static addr"), allow_subscribe: false }
     }
 }
 
@@ -78,7 +75,6 @@ struct Shared {
     cfg: BrokerConfig,
     sink: Option<PublishSink>,
     stats: BrokerStats,
-    running: AtomicBool,
     subscribers: Mutex<HashMap<u64, Subscriber>>,
     next_conn_id: AtomicU64,
 }
@@ -86,8 +82,7 @@ struct Shared {
 /// Handle to a running broker; dropping it stops the broker.
 pub struct Broker {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl Broker {
@@ -95,29 +90,27 @@ impl Broker {
     ///
     /// # Errors
     /// Propagates socket bind failures.
-    pub fn start(cfg: BrokerConfig, sink: Option<PublishSink>) -> std::io::Result<Broker> {
+    pub fn start(cfg: BrokerConfig, sink: Option<PublishSink>) -> io::Result<Broker> {
         let listener = TcpListener::bind(cfg.bind)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cfg,
             sink,
             stats: BrokerStats::default(),
-            running: AtomicBool::new(true),
             subscribers: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(1),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("mqtt-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn accept thread");
-        Ok(Broker { shared, local_addr, accept_thread: Some(accept_thread) })
+        let conn_shared = Arc::clone(&shared);
+        let server = serve(listener, "mqtt", move |stream| {
+            if connection_loop(stream, &conn_shared).is_err() {
+                conn_shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+            }
+        })?;
+        Ok(Broker { shared, server })
     }
 
     /// The address the broker actually bound.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// Live statistics.
@@ -125,44 +118,15 @@ impl Broker {
         &self.shared.stats
     }
 
-    /// Request shutdown and join the accept thread.
+    /// Stop accepting and close every connection.
     pub fn shutdown(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for Broker {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while shared.running.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new().name("mqtt-conn".into()).spawn(move || {
-                    if connection_loop(stream, &conn_shared).is_err() {
-                        conn_shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn send(writer: &Mutex<TcpStream>, packet: &Packet) -> std::io::Result<()> {
+fn send(writer: &Mutex<TcpStream>, packet: &Packet) -> io::Result<()> {
     let mut out = BytesMut::new();
-    encode_packet(packet, &mut out)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    encode_packet(packet, &mut out)?;
     // lint: allow(lock-across-slow-op) -- the per-connection writer mutex
     // exists precisely to serialise whole frames onto the socket; writing
     // outside it would interleave packets from concurrent publishers
@@ -170,73 +134,51 @@ fn send(writer: &Mutex<TcpStream>, packet: &Packet) -> std::io::Result<()> {
     w.write_all(&out)
 }
 
-fn connection_loop(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
+/// A connection's socket, counting the reads that return data.
+struct CountedReads<'a> {
+    stream: &'a TcpStream,
+    reads: &'a AtomicU64,
+}
+
+impl Read for CountedReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        if n > 0 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(n)
+    }
+}
+
+/// Serve one connection until it ends.  `Err` on a socket error, a packet
+/// that does not decode, or a protocol violation.
+fn connection_loop(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    let mut buf = BytesMut::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
+    let mut src = CountedReads { stream: &stream, reads: &shared.stats.reads };
+    let mut packets = PacketReader::default();
     let mut connected = false;
-
-    let result = loop {
-        if !shared.running.load(Ordering::SeqCst) {
-            break Ok(());
-        }
-        // Drain complete packets already buffered.
-        loop {
-            match decode_packet(&mut buf) {
-                Ok(Some(packet)) => {
-                    match handle_packet(packet, shared, conn_id, &writer, &mut connected) {
-                        Ok(HandleOutcome::Continue) => {}
-                        Ok(HandleOutcome::Disconnect) => {
-                            shared.subscribers.lock().remove(&conn_id);
-                            return Ok(());
-                        }
-                        Err(()) => {
-                            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                            shared.subscribers.lock().remove(&conn_id);
-                            return Ok(());
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    shared.subscribers.lock().remove(&conn_id);
-                    return Ok(());
-                }
+    let result = (|| {
+        while let Some(packet) = packets.next(&mut src)? {
+            if !handle_packet(packet, shared, conn_id, &writer, &mut connected)? {
+                break;
             }
         }
-        match reader.read(&mut chunk) {
-            Ok(0) => break Ok(()),
-            Ok(n) => {
-                shared.stats.reads.fetch_add(1, Ordering::Relaxed);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => break Err(e),
-        }
-    };
+        Ok(())
+    })();
     shared.subscribers.lock().remove(&conn_id);
     result
 }
 
-enum HandleOutcome {
-    Continue,
-    Disconnect,
-}
-
+/// Act on one packet; `false` once the client has disconnected.
 fn handle_packet(
     packet: Packet,
     shared: &Shared,
     conn_id: u64,
     writer: &Arc<Mutex<TcpStream>>,
     connected: &mut bool,
-) -> Result<HandleOutcome, ()> {
+) -> io::Result<bool> {
     match packet {
         Packet::Connect { .. } => {
             *connected = true;
@@ -244,12 +186,11 @@ fn handle_packet(
             send(
                 writer,
                 &Packet::Connack { session_present: false, code: ConnectReturnCode::Accepted },
-            )
-            .map_err(|_| ())?;
+            )?;
         }
         Packet::Publish { topic, payload, qos, pid, .. } => {
             if !*connected {
-                return Err(());
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "PUBLISH before CONNECT"));
             }
             shared.stats.publishes.fetch_add(1, Ordering::Relaxed);
             shared.stats.publish_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -258,7 +199,7 @@ fn handle_packet(
             }
             if qos == QoS::AtLeastOnce {
                 if let Some(pid) = pid {
-                    send(writer, &Packet::Puback { pid }).map_err(|_| ())?;
+                    send(writer, &Packet::Puback { pid })?;
                 }
             }
             if shared.cfg.allow_subscribe {
@@ -269,7 +210,7 @@ fn handle_packet(
             if !shared.cfg.allow_subscribe {
                 // publish-only broker: reject all filters
                 let codes = vec![0x80u8; filters.len()];
-                send(writer, &Packet::Suback { pid, return_codes: codes }).map_err(|_| ())?;
+                send(writer, &Packet::Suback { pid, return_codes: codes })?;
             } else {
                 let codes: Vec<u8> = filters
                     .iter()
@@ -284,7 +225,7 @@ fn handle_packet(
                 });
                 entry.filters.extend(accepted);
                 drop(subs);
-                send(writer, &Packet::Suback { pid, return_codes: codes }).map_err(|_| ())?;
+                send(writer, &Packet::Suback { pid, return_codes: codes })?;
             }
         }
         Packet::Unsubscribe { pid, filters } => {
@@ -293,19 +234,19 @@ fn handle_packet(
                 sub.filters.retain(|(f, _)| !filters.contains(f));
             }
             drop(subs);
-            send(writer, &Packet::Unsuback { pid }).map_err(|_| ())?;
+            send(writer, &Packet::Unsuback { pid })?;
         }
         Packet::Pingreq => {
-            send(writer, &Packet::Pingresp).map_err(|_| ())?;
+            send(writer, &Packet::Pingresp)?;
         }
-        Packet::Disconnect => return Ok(HandleOutcome::Disconnect),
+        Packet::Disconnect => return Ok(false),
         Packet::Pubrel { pid } => {
-            send(writer, &Packet::Pubcomp { pid }).map_err(|_| ())?;
+            send(writer, &Packet::Pubcomp { pid })?;
         }
         // Packets a broker does not expect from clients are ignored.
         _ => {}
     }
-    Ok(HandleOutcome::Continue)
+    Ok(true)
 }
 
 fn forward_to_subscribers(shared: &Shared, from_conn: u64, topic: &str, payload: &Bytes) {

@@ -2,12 +2,13 @@
 //!
 //! This is the Pusher side of the transport: QoS 0/1 publishing, keep-alive
 //! pings and automatic reconnection, mirroring the role the Mosquitto
-//! library plays in the C++ implementation (paper §4.1).  Incoming publishes
-//! (when the client subscribes) are dispatched to a user callback from a
-//! background reader thread.
+//! library plays in the C++ implementation (paper §4.1).  PUBACKs and
+//! incoming publishes (when the client subscribes) are read by a background
+//! reader thread, blocked in `read` on its [`PacketReader`] and stopped by
+//! shutting the socket down; incoming publishes go to a user callback.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +16,9 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use crate::codec::{decode_packet, encode_packet, encode_publish, CodecError, Packet, QoS};
+use crate::codec::{
+    encode_packet, encode_publish, CodecError, ConnectReturnCode, Packet, PacketReader, QoS,
+};
 
 /// Largest socket write [`Client::send_batch`] makes, unless one frame alone
 /// is larger: a pusher's sampling round goes out in as few writes as this
@@ -84,11 +87,6 @@ impl From<std::io::Error> for ClientError {
 
 /// Callback for received publishes: `(topic, payload)`.
 pub type MessageCallback = Arc<dyn Fn(&str, &Bytes) + Send + Sync>;
-
-struct Conn {
-    stream: TcpStream,
-    reader_stop: Arc<AtomicBool>,
-}
 
 /// Counters for the evaluation harness.
 #[derive(Debug, Default)]
@@ -215,7 +213,7 @@ impl PendingAcks {
 /// The blocking client.
 pub struct Client {
     cfg: ClientConfig,
-    conn: Mutex<Option<Conn>>,
+    conn: Mutex<Option<TcpStream>>,
     /// Frame buffer of the write-through publishes, reused.
     frame: Mutex<FrameBatch>,
     next_pid: AtomicU16,
@@ -255,7 +253,9 @@ impl Client {
         &self.stats
     }
 
-    fn handshake(&self, stream: &mut TcpStream) -> Result<(), ClientError> {
+    /// CONNECT and wait for the CONNACK; the reader keeps whatever the
+    /// broker sent after it.
+    fn handshake(&self, stream: &mut TcpStream) -> Result<PacketReader, ClientError> {
         let mut out = BytesMut::new();
         encode_packet(
             &Packet::Connect {
@@ -270,40 +270,27 @@ impl Client {
         )
         .expect("CONNECT always encodes");
         stream.write_all(&out)?;
-        // Wait for CONNACK synchronously.
-        let mut buf = BytesMut::new();
-        let mut chunk = [0u8; 1024];
-        let deadline = Instant::now() + self.cfg.ack_timeout;
-        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-        loop {
-            if let Some(pkt) = decode_packet(&mut buf)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
+        // a deadline for the CONNACK, lifted before the reader thread blocks
+        stream.set_read_timeout(Some(self.cfg.ack_timeout))?;
+        let mut packets = PacketReader::default();
+        let connack = packets.next(stream);
+        stream.set_read_timeout(None)?;
+        match connack {
+            Ok(Some(Packet::Connack { code: ConnectReturnCode::Accepted, .. })) => Ok(packets),
+            Ok(_) => Err(ClientError::Rejected),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                return match pkt {
-                    Packet::Connack { code: crate::codec::ConnectReturnCode::Accepted, .. } => {
-                        Ok(())
-                    }
-                    Packet::Connack { .. } => Err(ClientError::Rejected),
-                    _ => Err(ClientError::Rejected),
-                };
+                Err(ClientError::AckTimeout)
             }
-            if Instant::now() > deadline {
-                return Err(ClientError::AckTimeout);
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err(ClientError::Rejected),
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(e.into()),
-            }
+            Err(e) => Err(e.into()),
         }
     }
 
-    fn reconnect_locked(&self, slot: &mut Option<Conn>) -> Result<(), ClientError> {
+    fn reconnect_locked(&self, slot: &mut Option<TcpStream>) -> Result<(), ClientError> {
         if let Some(old) = slot.take() {
-            old.reader_stop.store(true, Ordering::SeqCst);
+            let _ = old.shutdown(Shutdown::Both);
         }
         let mut last_err: Option<ClientError> = None;
         for attempt in 0..=self.cfg.max_reconnects {
@@ -315,10 +302,9 @@ impl Client {
                 Ok(mut stream) => {
                     stream.set_nodelay(true).ok();
                     match self.handshake(&mut stream) {
-                        Ok(()) => {
-                            let reader_stop = Arc::new(AtomicBool::new(false));
-                            self.spawn_reader(stream.try_clone()?, Arc::clone(&reader_stop));
-                            *slot = Some(Conn { stream, reader_stop });
+                        Ok(packets) => {
+                            self.spawn_reader(stream.try_clone()?, packets);
+                            *slot = Some(stream);
                             return Ok(());
                         }
                         Err(e) => last_err = Some(e),
@@ -330,41 +316,29 @@ impl Client {
         Err(last_err.unwrap_or(ClientError::Closed))
     }
 
-    fn spawn_reader(&self, mut stream: TcpStream, stop: Arc<AtomicBool>) {
+    fn spawn_reader(&self, mut stream: TcpStream, mut packets: PacketReader) {
         let acks = Arc::clone(&self.acks);
         // The callback is looked up per message so it can be registered or
         // swapped after the connection is already up.
         let cb_slot = Arc::clone(&self.on_message);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         std::thread::Builder::new()
             .name("mqtt-client-reader".into())
             .spawn(move || {
-                let mut buf = BytesMut::new();
-                let mut chunk = [0u8; 16 * 1024];
-                loop {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    while let Ok(Some(pkt)) = decode_packet(&mut buf) {
-                        match pkt {
-                            Packet::Puback { pid } => acks.deliver(pid),
-                            Packet::Publish { topic, payload, .. } => {
-                                if let Some(cb) = cb_slot.lock().as_ref() {
-                                    cb(&topic, &payload);
-                                }
+                while let Ok(Some(pkt)) = packets.next(&mut stream) {
+                    match pkt {
+                        Packet::Puback { pid } => acks.deliver(pid),
+                        Packet::Publish { topic, payload, .. } => {
+                            if let Some(cb) = cb_slot.lock().as_ref() {
+                                cb(&topic, &payload);
                             }
-                            _ => {}
                         }
-                    }
-                    match stream.read(&mut chunk) {
-                        Ok(0) => return,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut => {}
-                        Err(_) => return,
+                        _ => {}
                     }
                 }
+                // end of stream, a socket error, or bytes that do not
+                // decode, after which nothing on this stream can be read:
+                // shut it down so the next publish reconnects
+                let _ = stream.shutdown(Shutdown::Both);
             })
             .expect("spawn reader");
     }
@@ -383,7 +357,7 @@ impl Client {
             if conn.is_none() {
                 self.reconnect_locked(&mut conn)?;
             }
-            let stream = &mut conn.as_mut().expect("just reconnected").stream;
+            let stream = conn.as_mut().expect("just reconnected");
             match stream.write_all(bytes) {
                 Ok(()) => {
                     self.stats.writes.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +366,7 @@ impl Client {
                 Err(_) => {
                     // drop the broken connection and retry once
                     if let Some(old) = conn.take() {
-                        old.reader_stop.store(true, Ordering::SeqCst);
+                        let _ = old.shutdown(Shutdown::Both);
                     }
                 }
             }
@@ -402,7 +376,7 @@ impl Client {
 
     fn send_packet(&self, packet: &Packet) -> Result<(), ClientError> {
         let mut out = BytesMut::new();
-        encode_packet(packet, &mut out).map_err(invalid_data)?;
+        encode_packet(packet, &mut out).map_err(std::io::Error::from)?;
         self.send_bytes(&out)
     }
 
@@ -437,7 +411,7 @@ impl Client {
         // lint: allow(lock-across-slow-op) -- the buffer is reused by every
         // publish; it is held while its one frame is written
         let mut frame = self.frame.lock();
-        frame.push(topic, payload, qos, pid).map_err(invalid_data)?;
+        frame.push(topic, payload, qos, pid).map_err(std::io::Error::from)?;
         self.send_batch(&mut frame)
     }
 
@@ -479,14 +453,10 @@ impl Client {
     pub fn disconnect(&self) {
         let _ = self.send_packet(&Packet::Disconnect);
         self.closed.store(true, Ordering::SeqCst);
-        if let Some(conn) = self.conn.lock().take() {
-            conn.reader_stop.store(true, Ordering::SeqCst);
+        if let Some(stream) = self.conn.lock().take() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
-}
-
-fn invalid_data(e: CodecError) -> ClientError {
-    ClientError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 impl Drop for Client {
@@ -500,6 +470,7 @@ impl Drop for Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode_packet;
 
     #[test]
     fn pending_acks_are_matched_by_pid_not_arrival_order() {

@@ -4,10 +4,13 @@
 //! the OASIS MQTT 3.1.1 specification, including the variable-length
 //! "remaining length" encoding and UTF-8 string fields.  Decoding is
 //! incremental: [`decode_packet`] returns `Ok(None)` when the buffer does not
-//! yet hold a complete packet, so callers can accumulate TCP reads.
+//! yet hold a complete packet, so callers can accumulate TCP reads;
+//! [`PacketReader`] is that accumulation, the one loop every socket reader
+//! in this crate runs.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::io::{self, Read};
 
 /// Quality-of-service level (3.1.1 supports 0, 1, 2; DCDB uses 0 and 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -195,6 +198,12 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<CodecError> for io::Error {
+    fn from(e: CodecError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// Hard upper bound on accepted packets (defensive; spec max is 256 MB).
 pub const MAX_PACKET_SIZE: usize = 8 * 1024 * 1024;
@@ -552,6 +561,34 @@ pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
         _ => return Err(CodecError::Malformed("reserved packet type")),
     };
     Ok(Some(packet))
+}
+
+/// Whole packets out of a byte stream: read, buffer, [`decode_packet`].
+#[derive(Default)]
+pub struct PacketReader {
+    buf: BytesMut,
+    chunk: Vec<u8>,
+}
+
+impl PacketReader {
+    /// The next packet, reading from `src` until one is complete; `None`
+    /// at end of stream.
+    ///
+    /// # Errors
+    /// `InvalidData` when the bytes do not decode, after which the stream
+    /// cannot be resynchronised; otherwise `src`'s, read timeouts included.
+    pub fn next(&mut self, src: &mut impl Read) -> io::Result<Option<Packet>> {
+        self.chunk.resize(16 * 1024, 0);
+        loop {
+            if let Some(packet) = decode_packet(&mut self.buf)? {
+                return Ok(Some(packet));
+            }
+            match src.read(&mut self.chunk)? {
+                0 => return Ok(None),
+                n => self.buf.extend_from_slice(&self.chunk[..n]),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

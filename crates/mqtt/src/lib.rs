@@ -7,10 +7,11 @@
 //!
 //! * [`codec`] — wire format for all fourteen 3.1.1 control packets,
 //! * [`topic`] — topic filters with `+`/`#` wildcard matching,
-//! * [`broker`] — a threaded TCP broker.  Like DCDB's Collect Agent it is
-//!   *publish-only by default*: subscriptions can be disabled entirely so no
-//!   topic-filtering overhead is paid (paper §4.2), with an in-process sink
-//!   callback receiving every publish instead,
+//! * [`broker`] — a TCP broker, one blocking thread per connection.  Like
+//!   DCDB's Collect Agent it is *publish-only by default*: subscriptions
+//!   can be disabled entirely so no topic-filtering overhead is paid
+//!   (paper §4.2), with an in-process sink callback receiving every
+//!   publish instead,
 //! * [`client`] — a blocking client with QoS 0/1 publish, keep-alive and
 //!   automatic reconnect,
 //! * [`inproc`] — an in-process transport used by the simulation harness so
@@ -25,5 +26,5 @@ pub mod topic;
 
 pub use broker::{Broker, BrokerConfig, BrokerStats, PublishSink};
 pub use client::{Client, ClientConfig, ClientError};
-pub use codec::{decode_packet, encode_packet, ConnectReturnCode, Packet, QoS};
+pub use codec::{decode_packet, encode_packet, ConnectReturnCode, Packet, PacketReader, QoS};
 pub use topic::{filter_matches, is_valid_filter};
