@@ -8,9 +8,9 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dcdb_sid::SensorId;
-use dcdb_store::reading::{TimeRange, Timestamp};
+use dcdb_store::reading::{Reading, TimeRange, Timestamp};
 use dcdb_store::sstable::SsTable;
-use dcdb_store::BlockCache;
+use dcdb_store::{BlockCache, SeriesIter, SeriesSnapshot, SnapshotRun};
 
 const READINGS: usize = 8192;
 
@@ -20,32 +20,25 @@ fn table_entries(sid: SensorId) -> Vec<(SensorId, Timestamp, f64)> {
         .collect()
 }
 
+/// Every reading of `sid` in `table`, through the store's read path.
+fn read_all(table: &SsTable, sid: SensorId) -> Vec<Reading> {
+    let range = TimeRange::all();
+    let runs = vec![SnapshotRun::Blocks(table.blocks_for(sid, range))];
+    SeriesIter::new(SeriesSnapshot { runs, drop_ranges: Vec::new() }, range).collect()
+}
+
 fn bench_block_reads(c: &mut Criterion) {
     let sid = SensorId::from_fields(&[1, 2]).unwrap();
     let uncached = SsTable::from_sorted(table_entries(sid));
     let cache = Arc::new(BlockCache::new(1 << 20));
     let cached = SsTable::from_sorted_cached(table_entries(sid), Some(cache));
     // warm the cache so the cached case measures steady-state hits
-    let mut warmup = Vec::new();
-    cached.query(sid, TimeRange::all(), &mut warmup);
-    assert_eq!(warmup.len(), READINGS);
+    assert_eq!(read_all(&cached, sid).len(), READINGS);
 
     let mut g = c.benchmark_group("block_reads");
     g.throughput(Throughput::Elements(READINGS as u64));
-    g.bench_function("uncached_8k", |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(READINGS);
-            uncached.query(std::hint::black_box(sid), TimeRange::all(), &mut out);
-            out
-        })
-    });
-    g.bench_function("cached_8k", |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(READINGS);
-            cached.query(std::hint::black_box(sid), TimeRange::all(), &mut out);
-            out
-        })
-    });
+    g.bench_function("uncached_8k", |b| b.iter(|| read_all(&uncached, std::hint::black_box(sid))));
+    g.bench_function("cached_8k", |b| b.iter(|| read_all(&cached, std::hint::black_box(sid))));
     g.finish();
 }
 

@@ -20,6 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dcdb_query::{AggFn, QueryEngine};
+
+use super::fan_in;
 use dcdb_sim::workloads::BehaviorTrace;
 use dcdb_sim::{Arch, Workload};
 use dcdb_store::reading::TimeRange;
@@ -119,22 +121,22 @@ pub fn run_refresh() -> RefreshReport {
 
     // --- cache off: every refresh decodes the panel's blocks afresh
     let uncached = cluster_with_day(0, 1);
-    let engine = QueryEngine::new(Arc::clone(&uncached));
+    let engine = QueryEngine::new(Arc::clone(&uncached), 0);
     let mut uncached_s = f64::INFINITY;
     let mut reference = Vec::new();
     let base = uncached.blocks_decoded();
     for _ in 0..REFRESHES {
         let t = Instant::now();
-        reference = engine.aggregate_sid(sensor(0), range, WINDOW_NS, AggFn::Avg);
+        reference = fan_in(&engine, &[(sensor(0), 1.0)], range, WINDOW_NS, AggFn::Avg);
         uncached_s = uncached_s.min(t.elapsed().as_secs_f64());
     }
     let blocks_uncached = (uncached.blocks_decoded() - base) / REFRESHES as u64;
 
     // --- cache on: the cold refresh pays the decode, warm ones do not
     let cached = cluster_with_day(CACHE_READINGS, 1);
-    let engine = QueryEngine::new(Arc::clone(&cached));
+    let engine = QueryEngine::new(Arc::clone(&cached), 0);
     let t = Instant::now();
-    let cold = engine.aggregate_sid(sensor(0), range, WINDOW_NS, AggFn::Avg);
+    let cold = fan_in(&engine, &[(sensor(0), 1.0)], range, WINDOW_NS, AggFn::Avg);
     let cold_s = t.elapsed().as_secs_f64();
     let blocks_cold = cached.blocks_decoded();
 
@@ -142,7 +144,7 @@ pub fn run_refresh() -> RefreshReport {
     let mut warm = Vec::new();
     for _ in 0..REFRESHES {
         let t = Instant::now();
-        warm = engine.aggregate_sid(sensor(0), range, WINDOW_NS, AggFn::Avg);
+        warm = fan_in(&engine, &[(sensor(0), 1.0)], range, WINDOW_NS, AggFn::Avg);
         warm_s = warm_s.min(t.elapsed().as_secs_f64());
     }
     let blocks_warm = cached.blocks_decoded() - blocks_cold;
@@ -203,7 +205,6 @@ impl FaninReport {
 /// day, 5-minute average, at doubling thread counts.
 pub fn run_fanin() -> FaninReport {
     let cluster = cluster_with_day(0, FANIN_SENSORS);
-    let engine = QueryEngine::new(Arc::clone(&cluster));
     let range = TimeRange::new(0, SERIES_LEN as i64 * INTERVAL_NS);
     let window = 300 * INTERVAL_NS;
     let sids: Vec<(dcdb_sid::SensorId, f64)> =
@@ -221,11 +222,12 @@ pub fn run_fanin() -> FaninReport {
     let mut serial: Vec<dcdb_store::Reading> = Vec::new();
     let mut points = Vec::new();
     for &threads in &counts {
+        let engine = QueryEngine::new(Arc::clone(&cluster), threads);
         let mut best = f64::INFINITY;
         let mut out = Vec::new();
         for _ in 0..3 {
             let t = Instant::now();
-            out = engine.aggregate_on(&sids, range, window, AggFn::Avg, threads);
+            out = fan_in(&engine, &sids, range, window, AggFn::Avg);
             best = best.min(t.elapsed().as_secs_f64());
         }
         let identical = if threads == 1 {

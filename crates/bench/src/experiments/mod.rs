@@ -16,8 +16,25 @@ pub mod obs;
 pub mod query;
 pub mod table1;
 
+use dcdb_query::{AggFn, QueryEngine, SensorGroup};
+use dcdb_sid::SensorId;
+use dcdb_store::{Reading, TimeRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A plain sensor-tree fan-in: [`QueryEngine::aggregate`] over one
+/// untraced group of `sids`.
+pub(crate) fn fan_in(
+    engine: &QueryEngine,
+    sids: &[(SensorId, f64)],
+    range: TimeRange,
+    window_ns: i64,
+    agg: AggFn,
+) -> Vec<Reading> {
+    let group = SensorGroup { key: (), sids: sids.to_vec() };
+    let (mut out, _) = engine.aggregate(vec![group], range, window_ns, agg, false);
+    out.pop().expect("one group").1
+}
 
 /// Deterministic measurement jitter for the overhead heat maps: the paper's
 /// cells scatter around the model value and clamp at zero (a monitored run

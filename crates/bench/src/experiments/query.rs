@@ -8,7 +8,7 @@
 //! dashboard-style query — one hour of the day, 1-minute windows — then
 //! runs two ways:
 //!
-//! * **pushdown** — [`QueryEngine::aggregate_sid`]: only blocks whose
+//! * **pushdown** — [`QueryEngine::aggregate`]: only blocks whose
 //!   `(min_ts, max_ts)` headers intersect the hour are decompressed,
 //! * **full decode** — what the store did before this subsystem existed:
 //!   materialise the *entire* series (`query_range` over all time, decoding
@@ -23,6 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dcdb_query::{window_aggregate, AggFn, QueryEngine, SensorGroup};
+
+use super::fan_in;
 use dcdb_sim::workloads::BehaviorTrace;
 use dcdb_sim::{Arch, Workload};
 use dcdb_store::reading::TimeRange;
@@ -101,14 +103,14 @@ fn measure_series(workload: &'static str, sensor: &'static str, values: &[f64]) 
     // the dashboard hour: 20:00–21:00 of the simulated day
     let start = (20 * 3600) as i64 * INTERVAL_NS;
     let range = TimeRange::new(start, start + QUERY_LEN as i64 * INTERVAL_NS);
-    let engine = QueryEngine::new(Arc::clone(&cluster));
+    let engine = QueryEngine::new(Arc::clone(&cluster), 0);
 
     let mut pushdown_s = f64::INFINITY;
     let mut pushed = Vec::new();
     let base = cluster.blocks_decoded();
     for _ in 0..REPS {
         let t = Instant::now();
-        pushed = engine.aggregate_sid(sid, range, WINDOW_NS, AggFn::Avg);
+        pushed = fan_in(&engine, &[(sid, 1.0)], range, WINDOW_NS, AggFn::Avg);
         pushdown_s = pushdown_s.min(t.elapsed().as_secs_f64());
     }
     let blocks_pushdown = (cluster.blocks_decoded() - base) / REPS as u64;
@@ -222,7 +224,8 @@ pub fn run_groupby() -> GroupByReport {
         }
     }
 
-    let engine = QueryEngine::new(Arc::clone(&cluster));
+    let engine = QueryEngine::new(Arc::clone(&cluster), 0);
+    let serial_engine = QueryEngine::new(Arc::clone(&cluster), 1);
     let range = TimeRange::new(0, SERIES_LEN as i64 * INTERVAL_NS);
     let window = 300 * INTERVAL_NS; // 5-minute windows
     let groups: Vec<SensorGroup<usize>> = (0..GROUPBY_RACKS)
@@ -237,7 +240,7 @@ pub fn run_groupby() -> GroupByReport {
     let mut serial = Vec::new();
     for _ in 0..3 {
         let t = Instant::now();
-        serial = engine.aggregate_grouped_on(groups.clone(), range, window, AggFn::Avg, 1);
+        (serial, _) = serial_engine.aggregate(groups.clone(), range, window, AggFn::Avg, false);
         serial_s = serial_s.min(t.elapsed().as_secs_f64());
     }
     let base = cluster.blocks_decoded();
@@ -245,7 +248,7 @@ pub fn run_groupby() -> GroupByReport {
     let mut parallel = Vec::new();
     for _ in 0..3 {
         let t = Instant::now();
-        parallel = engine.aggregate_grouped(groups.clone(), range, window, AggFn::Avg);
+        (parallel, _) = engine.aggregate(groups.clone(), range, window, AggFn::Avg, false);
         parallel_s = parallel_s.min(t.elapsed().as_secs_f64());
     }
     let blocks_grouped = (cluster.blocks_decoded() - base) / 3;
@@ -256,7 +259,7 @@ pub fn run_groupby() -> GroupByReport {
     let mut fanin_s = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
-        engine.aggregate(&all, range, window, AggFn::Avg);
+        fan_in(&engine, &all, range, window, AggFn::Avg);
         fanin_s = fanin_s.min(t.elapsed().as_secs_f64());
     }
     let blocks_fanin = (cluster.blocks_decoded() - base) / 3;

@@ -346,125 +346,122 @@ impl SensorDb {
         req.validate()?;
         self.instruments.requests.inc();
         let timed = self.instruments.timing_enabled();
-        let traced = req.trace;
         // an armed slow-query log captures the same span tree a traced
         // request would, so any offender can land in the ring complete
         let slow_threshold = self.instruments.slow.threshold_ns();
-        let capture = traced || slow_threshold > 0;
+        let capture = req.trace || slow_threshold > 0;
         let t_total = (timed || capture).then(Instant::now);
         let counters = capture.then(|| CounterBase::capture(&self.store));
         let norm = dcdb_sid::topic::normalize(&req.target);
 
         // virtual sensors live outside the physical hierarchy; only exact
-        // and auto targeting consult them
-        if req.mode != TargetMode::Subtree {
-            // bind before the `if let`: the scrutinee's temporary read guard
-            // would otherwise live through the body, and `execute_virtual`
-            // re-enters `execute` (virtuals referencing virtuals) — a
-            // recursive read that deadlocks once a writer queues up
-            let vs = self.virtuals.read().get(&norm).cloned();
-            if let Some(vs) = vs {
+        // and auto targeting consult them.  Bound before the `match`: a
+        // read guard in the scrutinee would live through the arm, and
+        // `execute_virtual` re-enters `execute` (virtuals referencing
+        // virtuals) — a recursive read that deadlocks once a writer queues
+        let vs = (req.mode != TargetMode::Subtree)
+            .then(|| self.virtuals.read().get(&norm).cloned())
+            .flatten();
+        let (mut response, root) = match vs {
+            Some(vs) => {
                 let mut response = self.execute_virtual(&vs, &norm, req)?;
                 finalize(&mut response, req);
-                if capture {
+                let root = capture.then(|| {
                     let mut root = TraceSpan::new("execute");
-                    root.wall_ns = t_total.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
                     let mut virt = TraceSpan::new("virtual");
-                    virt.wall_ns = root.wall_ns;
+                    virt.wall_ns = ns_since(t_total);
                     root.push_child(virt);
-                    if let Some(base) = &counters {
-                        base.attach_deltas(&mut root, &self.store);
-                    }
-                    if slow_threshold > 0 && root.wall_ns >= slow_threshold {
-                        self.instruments.slow.record(
-                            root.wall_ns,
-                            summarize_request(req),
-                            root.clone(),
-                        );
-                    }
-                    if traced {
-                        response.trace = Some(root);
-                    }
-                }
-                return Ok(response);
+                    root
+                });
+                (response, root)
+            }
+            None => self.execute_physical(&norm, req, timed, capture)?,
+        };
+        if let Some(mut root) = root {
+            root.wall_ns = ns_since(t_total);
+            if let Some(base) = &counters {
+                base.attach_deltas(&mut root, &self.store);
+            }
+            if slow_threshold > 0 && root.wall_ns >= slow_threshold {
+                self.instruments.slow.record(root.wall_ns, summarize_request(req), root.clone());
+            }
+            if req.trace {
+                response.trace = Some(root);
             }
         }
+        Ok(response)
+    }
 
+    /// Plan, fold and finalize a request over physical sensors; with
+    /// `capture`, also the root span of its stages (wall time and counter
+    /// deltas are left to [`SensorDb::execute`]).
+    fn execute_physical(
+        self: &Arc<Self>,
+        norm: &str,
+        req: &QueryRequest,
+        timed: bool,
+        capture: bool,
+    ) -> Result<(QueryResponse, Option<TraceSpan>), QueryError> {
         // plan: resolve the target(s) against the topic registry
         let t_plan = (timed || capture).then(Instant::now);
         let targets: Vec<(String, SensorId)> = match req.mode {
-            TargetMode::Exact => match self.registry.get(&norm) {
-                Some(sid) => vec![(norm.clone(), sid)],
+            TargetMode::Exact => match self.registry.get(norm) {
+                Some(sid) => vec![(norm.to_string(), sid)],
                 None => Vec::new(),
             },
-            TargetMode::Auto => match self.registry.get(&norm) {
-                Some(sid) => vec![(norm.clone(), sid)],
-                None => self.registry.sids_under(&norm),
+            TargetMode::Auto => match self.registry.get(norm) {
+                Some(sid) => vec![(norm.to_string(), sid)],
+                None => self.registry.sids_under(norm),
             },
-            TargetMode::Subtree => self.registry.sids_under(&norm),
+            TargetMode::Subtree => self.registry.sids_under(norm),
         };
         let resolved = targets.len();
-        let plan_ns = t_plan.map(|t| t.elapsed().as_nanos() as u64);
+        let plan_ns = ns_since(t_plan);
 
         // fold: fetch + aggregate (the engine fan-in for windowed requests)
         let t_fold = (timed || capture).then(Instant::now);
         let (mut response, engine_span) = match req.agg {
-            None => (self.run_raw(&norm, targets, req), None),
+            None => (self.run_raw(norm, targets, req), None),
             Some(agg) => {
-                let groups = partition(&norm, targets, req.group_by);
+                let groups = partition(norm, targets, req.group_by);
                 match req.window_ns {
                     Some(window_ns) => self.run_windowed(groups, req, agg, window_ns, capture)?,
                     None => (self.run_interpolated(groups, req, agg)?, None),
                 }
             }
         };
-        let fold_ns = t_fold.map(|t| t.elapsed().as_nanos() as u64);
+        let fold_ns = ns_since(t_fold);
 
         let t_finalize = (timed || capture).then(Instant::now);
         finalize(&mut response, req);
-        let finalize_ns = t_finalize.map(|t| t.elapsed().as_nanos() as u64);
+        let finalize_ns = ns_since(t_finalize);
 
         if timed {
-            self.instruments.plan_ns.observe(plan_ns.unwrap_or(0));
-            self.instruments.fold_ns.observe(fold_ns.unwrap_or(0));
-            self.instruments.finalize_ns.observe(finalize_ns.unwrap_or(0));
+            self.instruments.plan_ns.observe(plan_ns);
+            self.instruments.fold_ns.observe(fold_ns);
+            self.instruments.finalize_ns.observe(finalize_ns);
         }
-        if capture {
+        let root = capture.then(|| {
             let mut root = TraceSpan::new("execute");
-            root.wall_ns = t_total.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
             root.put("sensors", resolved as u64);
             root.put("series", response.series.len() as u64);
-            if let Some(base) = &counters {
-                base.attach_deltas(&mut root, &self.store);
-            }
             let mut plan = TraceSpan::new("plan");
-            plan.wall_ns = plan_ns.unwrap_or(0);
+            plan.wall_ns = plan_ns;
             plan.put("sensors", resolved as u64);
             root.push_child(plan);
-            match engine_span {
-                // the engine's own span tree (fold with per-chunk children,
-                // merge) replaces the flat fold span for windowed requests
-                Some(mut span) => {
-                    span.stage = "engine".into();
-                    root.push_child(span);
-                }
-                None => {
-                    let mut fold = TraceSpan::new("fold");
-                    fold.wall_ns = fold_ns.unwrap_or(0);
-                    root.push_child(fold);
-                }
-            }
+            // the engine's own span tree (fold with per-chunk children,
+            // merge) replaces the flat fold span for windowed requests
+            let fold = engine_span.map_or_else(
+                || TraceSpan { wall_ns: fold_ns, ..TraceSpan::new("fold") },
+                |span| TraceSpan { stage: "engine".into(), ..span },
+            );
+            root.push_child(fold);
             let mut fin = TraceSpan::new("finalize");
-            fin.wall_ns = finalize_ns.unwrap_or(0);
+            fin.wall_ns = finalize_ns;
             root.push_child(fin);
-            if slow_threshold > 0 && root.wall_ns >= slow_threshold {
-                self.instruments.slow.record(root.wall_ns, summarize_request(req), root.clone());
-            }
-            if traced {
-                response.trace = Some(root);
-            }
-        }
-        Ok(response)
+            root
+        });
+        Ok((response, root))
     }
 
     /// Raw-readings execution: one series per resolved sensor.
@@ -503,8 +500,8 @@ impl SensorDb {
     }
 
     /// Windowed execution on the pushdown engine; groups run concurrently.
-    /// With `traced` the engine's traced twin runs instead — bit-identical
-    /// results plus its span tree.
+    /// With `traced` the engine also returns its span tree — bit-identical
+    /// results either way.
     fn run_windowed(
         self: &Arc<Self>,
         groups: Vec<ResolvedGroup>,
@@ -531,15 +528,8 @@ impl SensorDb {
             prepared.push(Prepared { key, base, unit, post_scale, sensors: members.len() });
             tasks.push(SensorGroup { key: prepared.len() - 1, sids: pairs });
         }
-        let threads = self.query_threads.load(Ordering::Relaxed);
-        let engine = dcdb_query::QueryEngine::with_threads(Arc::clone(&self.store), threads);
-        let (results, engine_span) = if traced {
-            let (r, span) =
-                engine.aggregate_grouped_traced(tasks, req.range, window_ns, agg, threads);
-            (r, Some(span))
-        } else {
-            (engine.aggregate_grouped(tasks, req.range, window_ns, agg), None)
-        };
+        let engine = dcdb_query::QueryEngine::new(Arc::clone(&self.store), self.query_threads());
+        let (results, engine_span) = engine.aggregate(tasks, req.range, window_ns, agg, traced);
         let series = results
             .into_iter()
             .map(|(idx, mut readings)| {
@@ -627,6 +617,11 @@ impl SensorDb {
         };
         Ok(QueryResponse { series: vec![out], trace: None })
     }
+}
+
+/// Nanoseconds since `t`, or 0 when nothing was timed.
+fn ns_since(t: Option<Instant>) -> u64 {
+    t.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 /// One-line request description for the slow-query log (`target`, mode,

@@ -8,7 +8,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::server::read_head;
+use crate::server::{read_head, MAX_BODY};
 
 /// A parsed HTTP response.
 #[derive(Debug)]
@@ -31,7 +31,8 @@ impl ClientResponse {
 /// Issue a GET request to `addr` with `path` (must start with `/`).
 ///
 /// # Errors
-/// Propagates socket errors; malformed responses yield `InvalidData`.
+/// Propagates socket errors; malformed responses and bodies over
+/// [`MAX_BODY`] bytes yield `InvalidData`.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<ClientResponse> {
     request(addr, "GET", path, None)
 }
@@ -79,12 +80,17 @@ fn request(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(bad_status)?;
+    // the body is sized by the server: cap it like the server caps ours
+    let too_large = || std::io::Error::new(std::io::ErrorKind::InvalidData, "body too large");
     let mut resp_body = Vec::new();
     if let Some(len) = headers.get("content-length").and_then(|v| v.parse::<usize>().ok()) {
+        if len > MAX_BODY {
+            return Err(too_large());
+        }
         resp_body.resize(len, 0);
         reader.read_exact(&mut resp_body)?;
-    } else {
-        reader.read_to_end(&mut resp_body)?;
+    } else if reader.take(MAX_BODY as u64 + 1).read_to_end(&mut resp_body)? > MAX_BODY {
+        return Err(too_large());
     }
     Ok(ClientResponse { status, headers, body: resp_body })
 }

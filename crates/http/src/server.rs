@@ -9,11 +9,14 @@
 //! wakes no thread.  The 10 s idle read timeout is a deadline for silent
 //! clients, not a poll.  A request line or header over [`MAX_LINE`] bytes,
 //! more than [`MAX_HEADERS`] headers, or a body over [`MAX_BODY`] bytes is
-//! answered `400` and the connection is closed.
+//! answered `400` and the connection is closed by a lingering close: the
+//! server half-closes, then drains what the client still sends (at most
+//! `LINGER_BYTES`, within the read deadline), so unread request bytes do
+//! not turn the close into a reset that can destroy the `400`.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,6 +29,8 @@ pub const MAX_LINE: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 100;
 /// Largest request body accepted.
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
+/// Most bytes drained from a rejected request before its connection closes.
+const LINGER_BYTES: u64 = 64 * 1024;
 
 /// Request methods supported by the REST APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,7 +234,11 @@ fn serve_connection(stream: TcpStream, handler: &Handler) -> io::Result<()> {
             Ok(None) => return Ok(()), // connection closed
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let resp = Response::error(StatusCode::BadRequest, &e.to_string());
-                return write_response(reader.get_mut(), &mut out, &resp, false);
+                write_response(reader.get_mut(), &mut out, &resp, false)?;
+                reader.get_ref().shutdown(Shutdown::Write)?;
+                // a read error (the deadline) ends the drain like EOF does
+                let _ = io::copy(&mut reader.take(LINGER_BYTES), &mut io::sink());
+                return Ok(());
             }
             Err(e) => return Err(e),
         };

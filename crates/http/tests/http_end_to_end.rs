@@ -1,7 +1,7 @@
 //! End-to-end tests of the HTTP server + client over real sockets.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use dcdb_http::server::{MAX_BODY, MAX_HEADERS, MAX_LINE};
@@ -88,7 +88,7 @@ fn concurrent_requests() {
 }
 
 /// Send `raw` on a fresh connection and read until the server closes it;
-/// a read timeout fails the test.
+/// a read timeout or a connection reset fails the test.
 fn exchange(srv: &HttpServer, raw: &[u8]) -> String {
     let mut s = TcpStream::connect(srv.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -99,9 +99,7 @@ fn exchange(srv: &HttpServer, raw: &[u8]) -> String {
         match s.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => got.extend_from_slice(&chunk[..n]),
-            // the server closes with request bytes still unread
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
-            Err(e) => panic!("connection left open: {e}; read so far {got:?}"),
+            Err(e) => panic!("no clean close: {e}; read so far {got:?}"),
         }
     }
     String::from_utf8_lossy(&got).into_owned()
@@ -116,7 +114,9 @@ fn assert_rejected(response: &str, why: &str) {
 #[test]
 fn over_long_request_line_is_400_and_closes() {
     let srv = demo_server();
-    let target = format!("/query?a={}", "x".repeat(MAX_LINE));
+    // several times the cap, so request bytes are still unread when the
+    // server answers: the close must still be clean, not a reset
+    let target = format!("/query?a={}", "x".repeat(4 * MAX_LINE));
     let raw = format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_rejected(&exchange(&srv, raw.as_bytes()), "request line");
 }
@@ -146,6 +146,41 @@ fn over_cap_body_is_400_not_a_second_request() {
     // the next request on the same connection
     let raw = format!("PUT /store HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
     assert_rejected(&exchange(&srv, raw.as_bytes()), "body length");
+}
+
+/// A one-shot fake server answering one request with `head` and then
+/// `body_len` bytes, then closing.
+fn fake_server(head: &'static str, body_len: usize) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap() > 2 {
+            line.clear();
+        }
+        let stream = reader.get_mut();
+        // the client may hang up mid-body: write errors are expected
+        let _ = stream.write_all(head.as_bytes());
+        let _ = stream.write_all(&vec![b'x'; body_len]);
+    });
+    addr
+}
+
+#[test]
+fn client_rejects_a_response_body_over_the_cap() {
+    // announced: the client must not allocate what the header claims
+    let addr = fake_server("HTTP/1.1 200 OK\r\nContent-Length: 100000000000000\r\n\r\n", 0);
+    let err = client::get(addr, "/").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    // unannounced: the read to EOF stops one byte past the cap
+    let addr = fake_server("HTTP/1.1 200 OK\r\n\r\n", MAX_BODY + 1);
+    let err = client::get(addr, "/").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    // the cap itself is accepted
+    let addr = fake_server("HTTP/1.1 200 OK\r\n\r\n", MAX_BODY);
+    assert_eq!(client::get(addr, "/").unwrap().body.len(), MAX_BODY);
 }
 
 #[test]

@@ -13,11 +13,10 @@ use std::time::Instant;
 use dcdb_obs::TraceSpan;
 use dcdb_sid::SensorId;
 use dcdb_store::reading::{Reading, TimeRange};
-use dcdb_store::StoreCluster;
+use dcdb_store::{SeriesIter, StoreCluster};
 
 use crate::agg::{AggFn, WindowedAgg};
 use crate::exec;
-use crate::iter::SeriesIter;
 
 /// One group of a grouped aggregation: an opaque key (typically the
 /// SID-prefix topic naming the sub-tree) plus the member sensors with their
@@ -38,129 +37,90 @@ pub struct SensorGroup<K> {
 /// chunk partials merge in the same order whether one thread or sixteen
 /// evaluate them — serial and parallel execution are bit-identical by
 /// construction (the thread count only decides *where* a chunk runs).
-/// Fan-ins of at most `FANIN_CHUNK` sensors take the single-accumulator
-/// fast path, which is byte-for-byte the pre-chunking behaviour.
 pub const FANIN_CHUNK: usize = 8;
 
 /// A streaming query engine over a [`StoreCluster`].
 pub struct QueryEngine {
     cluster: Arc<StoreCluster>,
-    /// Worker-thread cap for parallel evaluation (chunked fan-in and
-    /// grouped queries).
+    /// Worker-thread cap for parallel evaluation of fan-in chunks.
     threads: usize,
 }
 
 impl QueryEngine {
-    /// Wrap a cluster, parallelising across all available cores.
-    pub fn new(cluster: Arc<StoreCluster>) -> QueryEngine {
-        QueryEngine::with_threads(cluster, exec::default_parallelism())
-    }
-
-    /// Wrap a cluster with an explicit worker-thread cap for parallel
-    /// evaluation: `1` keeps every query on the calling thread, `0` means
-    /// "all available cores".
-    pub fn with_threads(cluster: Arc<StoreCluster>, threads: usize) -> QueryEngine {
+    /// Wrap a cluster with a worker-thread cap for parallel evaluation:
+    /// `1` keeps every query on the calling thread, `0` means "all
+    /// available cores".  Results are bit-identical for every value (see
+    /// [`FANIN_CHUNK`]).
+    pub fn new(cluster: Arc<StoreCluster>, threads: usize) -> QueryEngine {
         let threads = if threads == 0 { exec::default_parallelism() } else { threads };
         QueryEngine { cluster, threads }
     }
 
-    /// The worker-thread cap parallel evaluation runs under.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &Arc<StoreCluster> {
-        &self.cluster
-    }
-
-    /// A lazy, pull-based iterator over one sensor's readings in `range`.
-    pub fn series(&self, sid: SensorId, range: TimeRange) -> SeriesIter {
-        SeriesIter::new(self.cluster.series_snapshot(sid, range), range)
-    }
-
-    /// Windowed aggregate of one sensor.
-    pub fn aggregate_sid(
+    /// Windowed aggregation of every [`SensorGroup`]: each group's
+    /// `(sid, scale)` series are scaled and folded into the same windows via
+    /// mergeable partials (see [`WindowedAgg`]), one result series per
+    /// group, in input group order.  A plain sensor-tree fan-in is one
+    /// group.
+    ///
+    /// The unit of parallel work is a [`FANIN_CHUNK`]-sensor *chunk*, not a
+    /// whole group, so one fat group (a 32-sensor rack fan-in) scales with
+    /// cores exactly like many small groups do; chunk partials merge in
+    /// chunk order whatever the schedule, so results are bit-identical to
+    /// serial evaluation.  Blocks outside `range` are never decompressed,
+    /// and neither grouping nor chunking changes *which* blocks decode.
+    ///
+    /// With `traced`, every chunk's fan-in is individually timed and the
+    /// returned span tree records the fold and merge stages (`chunk:<i>`
+    /// children carry `group` and `sensors` meta); results are the same
+    /// bits either way, and an untraced call builds no span.
+    pub fn aggregate<K>(
         &self,
-        sid: SensorId,
+        groups: Vec<SensorGroup<K>>,
         range: TimeRange,
         window_ns: i64,
         agg: AggFn,
-    ) -> Vec<Reading> {
-        self.aggregate(&[(sid, 1.0)], range, window_ns, agg)
-    }
-
-    /// Windowed aggregate with sensor-tree fan-in: every `(sid, scale)`
-    /// series is scaled, then folded into the same windows via mergeable
-    /// partials (see [`WindowedAgg`]).  Blocks outside `range` are never
-    /// decompressed.  Fan-ins wider than [`FANIN_CHUNK`] sensors evaluate
-    /// their chunks in parallel on the engine's thread cap; see
-    /// [`QueryEngine::aggregate_on`] to pin the thread count.
-    pub fn aggregate(
-        &self,
-        sids: &[(SensorId, f64)],
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-    ) -> Vec<Reading> {
-        self.aggregate_partials_on(sids, range, window_ns, agg, self.threads).finish()
-    }
-
-    /// [`QueryEngine::aggregate`] with an explicit worker-thread cap: `1`
-    /// evaluates every chunk on the calling thread.  The result is
-    /// bit-identical for every `threads` value (see [`FANIN_CHUNK`]).
-    pub fn aggregate_on(
-        &self,
-        sids: &[(SensorId, f64)],
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-        threads: usize,
-    ) -> Vec<Reading> {
-        self.aggregate_partials_on(sids, range, window_ns, agg, threads).finish()
-    }
-
-    /// Like [`QueryEngine::aggregate`], but return the mergeable
-    /// [`WindowedAgg`] accumulator instead of finished readings — the
-    /// building block for re-combining grouped results into a whole-tree
-    /// fan-in without touching the underlying blocks again.  Evaluates on
-    /// the calling thread.
-    pub fn aggregate_partials(
-        &self,
-        sids: &[(SensorId, f64)],
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-    ) -> WindowedAgg {
-        self.aggregate_partials_on(sids, range, window_ns, agg, 1)
-    }
-
-    /// The chunked fan-in behind [`QueryEngine::aggregate`]: split `sids`
-    /// into [`FANIN_CHUNK`]-sensor chunks, evaluate each chunk's partial on
-    /// up to `threads` workers and merge the partials back in chunk order.
-    pub fn aggregate_partials_on(
-        &self,
-        sids: &[(SensorId, f64)],
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-        threads: usize,
-    ) -> WindowedAgg {
-        if sids.len() <= FANIN_CHUNK {
-            return self.fan_in_chunk(sids, range, window_ns, agg);
-        }
-        // 0 = all cores, the same convention as with_threads
-        let threads = if threads == 0 { exec::default_parallelism() } else { threads };
-        let chunks: Vec<&[(SensorId, f64)]> = sids.chunks(FANIN_CHUNK).collect();
-        let partials = exec::run_tasks(chunks.len(), threads, |i| {
-            self.fan_in_chunk(chunks[i], range, window_ns, agg)
+        traced: bool,
+    ) -> (Vec<(K, Vec<Reading>)>, Option<TraceSpan>) {
+        // only the sensor lists cross into worker threads; keys stay here,
+        // so group keys need no Send/Sync bounds
+        let (keys, sid_lists): (Vec<K>, Vec<Vec<(SensorId, f64)>>) =
+            groups.into_iter().map(|g| (g.key, g.sids)).unzip();
+        let tasks = chunk_tasks(&sid_lists);
+        let t_fold = traced.then(Instant::now);
+        let folded = exec::run_tasks(tasks.len(), self.threads, |i| {
+            let (group, chunk) = tasks[i];
+            if !traced {
+                return (self.fan_in_chunk(chunk, range, window_ns, agg), None);
+            }
+            let (partial, span) = TraceSpan::time(format!("chunk:{i}"), |span| {
+                span.put("group", group as u64);
+                span.put("sensors", chunk.len() as u64);
+                self.fan_in_chunk(chunk, range, window_ns, agg)
+            });
+            (partial, Some(span))
         });
-        let mut partials = partials.into_iter();
-        let mut acc = partials.next().expect("at least one chunk");
-        for partial in partials {
-            acc.merge(partial);
+        let Some(t_fold) = t_fold else {
+            return (merge_groups(keys, &tasks, folded.into_iter().map(|(p, _)| p)), None);
+        };
+        let mut fold = TraceSpan::new("fold");
+        fold.wall_ns = t_fold.elapsed().as_nanos() as u64;
+        fold.put("groups", keys.len() as u64);
+        fold.put("chunks", tasks.len() as u64);
+        fold.put("threads", self.threads as u64);
+        let mut partials = Vec::with_capacity(folded.len());
+        for (partial, span) in folded {
+            partials.push(partial);
+            fold.children.extend(span);
         }
-        acc
+        let (out, merge) = TraceSpan::time("merge", |span| {
+            span.put("groups", keys.len() as u64);
+            merge_groups(keys, &tasks, partials)
+        });
+        let mut root = TraceSpan::new("execute");
+        root.wall_ns = fold.wall_ns + merge.wall_ns;
+        root.push_child(fold);
+        root.push_child(merge);
+        (out, Some(root))
     }
 
     /// One chunk's serial fan-in: feed every member series into a single
@@ -174,7 +134,7 @@ impl QueryEngine {
     ) -> WindowedAgg {
         let mut w = WindowedAgg::new(agg, window_ns);
         for &(sid, scale) in sids {
-            let iter = self.series(sid, range);
+            let iter = SeriesIter::new(self.cluster.series_snapshot(sid, range), range);
             if scale != 1.0 {
                 w.feed_series(iter.map(|r| Reading { ts: r.ts, value: r.value * scale }));
             } else if matches!(agg, AggFn::Rate) {
@@ -190,99 +150,6 @@ impl QueryEngine {
             }
         }
         w
-    }
-
-    /// Grouped windowed aggregation: evaluate every [`SensorGroup`] on the
-    /// crate's scoped thread pool, using the engine's thread cap.  The unit
-    /// of parallel work is a [`FANIN_CHUNK`]-sensor *chunk*, not a whole
-    /// group, so one fat group (a 32-sensor rack fan-in, or the single
-    /// anonymous group of an ungrouped sub-tree query) scales with cores
-    /// exactly like many small groups do.  Results come back in input group
-    /// order, bit-identical to running everything serially (chunk partials
-    /// merge in chunk order regardless of scheduling); blocks outside
-    /// `range` are never decompressed, exactly as in the ungrouped path
-    /// (chunks partition the sensor set, so neither grouping nor chunking
-    /// changes *which* blocks decode).
-    pub fn aggregate_grouped<K>(
-        &self,
-        groups: Vec<SensorGroup<K>>,
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-    ) -> Vec<(K, Vec<Reading>)> {
-        self.aggregate_grouped_on(groups, range, window_ns, agg, self.threads)
-    }
-
-    /// [`QueryEngine::aggregate_grouped`] with an explicit worker-thread
-    /// cap: `1` forces serial evaluation on the calling thread (the
-    /// baseline the bench compares against), higher values bound the pool.
-    pub fn aggregate_grouped_on<K>(
-        &self,
-        groups: Vec<SensorGroup<K>>,
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-        threads: usize,
-    ) -> Vec<(K, Vec<Reading>)> {
-        // 0 = all cores, the same convention as with_threads
-        let threads = if threads == 0 { exec::default_parallelism() } else { threads };
-        // only the sensor lists cross into worker threads; keys stay here,
-        // so group keys need no Send/Sync bounds
-        let (keys, sid_lists): (Vec<K>, Vec<Vec<(SensorId, f64)>>) =
-            groups.into_iter().map(|g| (g.key, g.sids)).unzip();
-        let tasks = chunk_tasks(&sid_lists);
-        let partials = exec::run_tasks(tasks.len(), threads, |i| {
-            self.fan_in_chunk(tasks[i].1, range, window_ns, agg)
-        });
-        merge_groups(keys, &tasks, partials)
-    }
-
-    /// [`QueryEngine::aggregate_grouped_on`] with per-stage tracing: the
-    /// same chunk tasks run on the same pool and the chunk partials merge
-    /// in the same order — results are **bit-identical** to the untraced
-    /// path — but every chunk's fan-in is individually timed and the
-    /// returned span tree records the fold and merge stages
-    /// (`chunk:<i>` children carry `group` and `sensors` meta).
-    pub fn aggregate_grouped_traced<K>(
-        &self,
-        groups: Vec<SensorGroup<K>>,
-        range: TimeRange,
-        window_ns: i64,
-        agg: AggFn,
-        threads: usize,
-    ) -> (Vec<(K, Vec<Reading>)>, TraceSpan) {
-        let threads = if threads == 0 { exec::default_parallelism() } else { threads };
-        let (keys, sid_lists): (Vec<K>, Vec<Vec<(SensorId, f64)>>) =
-            groups.into_iter().map(|g| (g.key, g.sids)).unzip();
-        let tasks = chunk_tasks(&sid_lists);
-        let mut fold = TraceSpan::new("fold");
-        fold.put("groups", keys.len() as u64);
-        fold.put("chunks", tasks.len() as u64);
-        fold.put("threads", threads as u64);
-        let t0 = Instant::now();
-        let timed: Vec<(WindowedAgg, TraceSpan)> = exec::run_tasks(tasks.len(), threads, |i| {
-            let (group, chunk) = tasks[i];
-            TraceSpan::time(format!("chunk:{i}"), |span| {
-                span.put("group", group as u64);
-                span.put("sensors", chunk.len() as u64);
-                self.fan_in_chunk(chunk, range, window_ns, agg)
-            })
-        });
-        fold.wall_ns = t0.elapsed().as_nanos() as u64;
-        let mut partials = Vec::with_capacity(timed.len());
-        for (partial, span) in timed {
-            partials.push(partial);
-            fold.push_child(span);
-        }
-        let (out, merge_span) = TraceSpan::time("merge", |span| {
-            span.put("groups", keys.len() as u64);
-            merge_groups(keys, &tasks, partials)
-        });
-        let mut root = TraceSpan::new("execute");
-        root.wall_ns = fold.wall_ns + merge_span.wall_ns;
-        root.push_child(fold);
-        root.push_child(merge_span);
-        (out, root)
     }
 }
 
@@ -301,7 +168,7 @@ fn chunk_tasks(sid_lists: &[Vec<(SensorId, f64)>]) -> Vec<(usize, &[(SensorId, f
 fn merge_groups<K>(
     keys: Vec<K>,
     tasks: &[(usize, &[(SensorId, f64)])],
-    partials: Vec<WindowedAgg>,
+    partials: impl IntoIterator<Item = WindowedAgg>,
 ) -> Vec<(K, Vec<Reading>)> {
     let mut accs: Vec<Option<WindowedAgg>> = keys.iter().map(|_| None).collect();
     for (&(group, _), partial) in tasks.iter().zip(partials) {
@@ -326,6 +193,20 @@ mod tests {
         SensorId::from_topic(t).unwrap()
     }
 
+    /// One untraced group over `sids`: the plain sensor-tree fan-in.
+    fn fan_in(
+        engine: &QueryEngine,
+        sids: &[(SensorId, f64)],
+        range: TimeRange,
+        window_ns: i64,
+        agg: AggFn,
+    ) -> Vec<Reading> {
+        let group = SensorGroup { key: (), sids: sids.to_vec() };
+        let (mut out, span) = engine.aggregate(vec![group], range, window_ns, agg, false);
+        assert!(span.is_none(), "an untraced call builds no span");
+        out.pop().expect("one group").1
+    }
+
     fn engine_with_data() -> (QueryEngine, Vec<SensorId>) {
         let cluster =
             Arc::new(StoreCluster::new(NodeConfig::default(), PartitionMap::prefix(3, 2), 1));
@@ -336,14 +217,15 @@ mod tests {
             }
         }
         cluster.maintain();
-        (QueryEngine::new(cluster), sids)
+        (QueryEngine::new(cluster, 0), sids)
     }
 
     #[test]
     fn single_sensor_windowed_avg() {
         let (engine, sids) = engine_with_data();
-        let out = engine.aggregate_sid(
-            sids[0],
+        let out = fan_in(
+            &engine,
+            &[(sids[0], 1.0)],
             TimeRange::new(0, 600_000_000_000),
             60_000_000_000,
             AggFn::Avg,
@@ -357,28 +239,21 @@ mod tests {
     fn fan_in_sums_across_sensors() {
         let (engine, sids) = engine_with_data();
         let pairs: Vec<(SensorId, f64)> = sids.iter().map(|&s| (s, 1.0)).collect();
-        let out = engine.aggregate(
-            &pairs,
-            TimeRange::new(0, 600_000_000_000),
-            60_000_000_000,
-            AggFn::Sum,
-        );
+        let out =
+            fan_in(&engine, &pairs, TimeRange::new(0, 600_000_000_000), 60_000_000_000, AggFn::Sum);
         // each window: 60 readings × (100 + 200 + 300)
         assert!(out.iter().all(|r| r.value == 60.0 * 600.0));
         // avg across the tree
-        let out = engine.aggregate(
-            &pairs,
-            TimeRange::new(0, 600_000_000_000),
-            60_000_000_000,
-            AggFn::Avg,
-        );
+        let out =
+            fan_in(&engine, &pairs, TimeRange::new(0, 600_000_000_000), 60_000_000_000, AggFn::Avg);
         assert!(out.iter().all(|r| (r.value - 200.0).abs() < 1e-9));
     }
 
     #[test]
     fn scale_is_applied() {
         let (engine, sids) = engine_with_data();
-        let out = engine.aggregate(
+        let out = fan_in(
+            &engine,
             &[(sids[0], 0.001)],
             TimeRange::new(0, 600_000_000_000),
             600_000_000_000,
@@ -397,18 +272,15 @@ mod tests {
             SensorGroup { key: "b", sids: vec![(sids[2], 1.0)] },
         ];
         for threads in [1, 4] {
-            let out = engine.aggregate_grouped_on(
-                groups.clone(),
-                range,
-                60_000_000_000,
-                AggFn::Avg,
-                threads,
-            );
+            let engine = QueryEngine::new(Arc::clone(&engine.cluster), threads);
+            let (out, _) =
+                engine.aggregate(groups.clone(), range, 60_000_000_000, AggFn::Avg, false);
             assert_eq!(out.len(), 2);
             assert_eq!(out[0].0, "a");
             assert_eq!(out[1].0, "b");
             // group results equal the serial fan-in over the same members
-            let a = engine.aggregate(&groups[0].sids, range, 60_000_000_000, AggFn::Avg);
+            let serial = QueryEngine::new(Arc::clone(&engine.cluster), 1);
+            let a = fan_in(&serial, &groups[0].sids, range, 60_000_000_000, AggFn::Avg);
             assert_eq!(out[0].1, a, "threads={threads}");
             assert!(out[1].1.iter().all(|r| r.value == 300.0));
         }
@@ -428,15 +300,21 @@ mod tests {
             }
         }
         cluster.maintain();
-        let engine = QueryEngine::new(Arc::clone(&cluster));
         let range = TimeRange::new(0, 700_000_000_000);
         for agg in [AggFn::Avg, AggFn::Sum, AggFn::Stddev, AggFn::Quantile(0.9), AggFn::Rate] {
             let base = cluster.blocks_decoded();
-            let serial = engine.aggregate_on(&sids, range, 60_000_000_000, agg, 1);
+            let serial = fan_in(
+                &QueryEngine::new(Arc::clone(&cluster), 1),
+                &sids,
+                range,
+                60_000_000_000,
+                agg,
+            );
             let serial_decodes = cluster.blocks_decoded() - base;
             for threads in [2, 4, 16] {
                 let base = cluster.blocks_decoded();
-                let parallel = engine.aggregate_on(&sids, range, 60_000_000_000, agg, threads);
+                let engine = QueryEngine::new(Arc::clone(&cluster), threads);
+                let parallel = fan_in(&engine, &sids, range, 60_000_000_000, agg);
                 assert_eq!(cluster.blocks_decoded() - base, serial_decodes, "threads={threads}");
                 assert_eq!(serial.len(), parallel.len());
                 for (a, b) in serial.iter().zip(&parallel) {
@@ -465,18 +343,19 @@ mod tests {
             }
         }
         cluster.maintain();
-        let engine = QueryEngine::new(Arc::clone(&cluster));
         let range = TimeRange::new(0, 300_000_000_000);
         let group = vec![SensorGroup { key: "rack", sids: sids.clone() }];
-        let direct = engine.aggregate(&sids, range, 60_000_000_000, AggFn::Avg);
+        let direct = fan_in(
+            &QueryEngine::new(Arc::clone(&cluster), 0),
+            &sids,
+            range,
+            60_000_000_000,
+            AggFn::Avg,
+        );
         for threads in [1, 4] {
-            let grouped = engine.aggregate_grouped_on(
-                group.clone(),
-                range,
-                60_000_000_000,
-                AggFn::Avg,
-                threads,
-            );
+            let engine = QueryEngine::new(Arc::clone(&cluster), threads);
+            let (grouped, _) =
+                engine.aggregate(group.clone(), range, 60_000_000_000, AggFn::Avg, false);
             assert_eq!(grouped.len(), 1);
             assert_eq!(grouped[0].1, direct, "threads={threads}");
         }
@@ -490,10 +369,12 @@ mod tests {
             SensorGroup { key: "a", sids: vec![(sids[0], 1.0), (sids[1], 1.0)] },
             SensorGroup { key: "b", sids: vec![(sids[2], 1.0)] },
         ];
-        let plain =
-            engine.aggregate_grouped_on(groups.clone(), range, 60_000_000_000, AggFn::Stddev, 4);
-        let (traced, span) =
-            engine.aggregate_grouped_traced(groups, range, 60_000_000_000, AggFn::Stddev, 4);
+        let engine = QueryEngine::new(Arc::clone(&engine.cluster), 4);
+        let (plain, none) =
+            engine.aggregate(groups.clone(), range, 60_000_000_000, AggFn::Stddev, false);
+        assert!(none.is_none());
+        let (traced, span) = engine.aggregate(groups, range, 60_000_000_000, AggFn::Stddev, true);
+        let span = span.expect("a traced call returns its span tree");
         assert_eq!(plain.len(), traced.len());
         for ((ka, a), (kb, b)) in plain.iter().zip(&traced) {
             assert_eq!(ka, kb);
@@ -523,9 +404,9 @@ mod tests {
             cluster.insert(s, ts, ts as f64);
         }
         cluster.maintain(); // 40 blocks of 512
-        let engine = QueryEngine::new(Arc::clone(&cluster));
+        let engine = QueryEngine::new(Arc::clone(&cluster), 0);
         assert_eq!(cluster.blocks_decoded(), 0);
-        let out = engine.aggregate_sid(s, TimeRange::new(1000, 2000), 100, AggFn::Avg);
+        let out = fan_in(&engine, &[(s, 1.0)], TimeRange::new(1000, 2000), 100, AggFn::Avg);
         assert_eq!(out.len(), 10);
         let decoded = cluster.blocks_decoded();
         assert!(

@@ -8,12 +8,13 @@
 //!
 //! ## Layers
 //!
-//! * [`iter`] — [`SeriesIter`], a pull-based iterator merging a sensor's
-//!   memtable slice and SSTable runs in timestamp order (newest source wins
-//!   on duplicates) **without materialising full vectors**: compressed
-//!   blocks are decoded one at a time, as the cursor reaches them, and
-//!   blocks outside the query range were already skipped by the store's
-//!   pushdown snapshot ([`dcdb_store::SeriesSnapshot`]).
+//! * [`SeriesIter`] — re-exported from `dcdb-store`, whose one read path
+//!   it is: a pull-based iterator merging a sensor's memtable slice and
+//!   SSTable runs in timestamp order (newest source wins on duplicates)
+//!   **without materialising full vectors**: compressed blocks are decoded
+//!   one at a time, as the cursor reaches them, and blocks outside the
+//!   query range were already skipped by the store's pushdown snapshot
+//!   ([`dcdb_store::SeriesSnapshot`]).
 //! * [`agg`] — the windowed-aggregation operator set:
 //!   [`AggFn`] (`avg`/`min`/`max`/`sum`/`count`/`stddev`/`quantile(p)`/
 //!   `rate`), the [`Moments`] accumulator (single Welford implementation
@@ -22,10 +23,10 @@
 //!   sensor-tree fan-in never concatenates series).
 //! * [`engine`] — [`QueryEngine`]: the façade over a
 //!   [`dcdb_store::StoreCluster`] that routes to the owning node, captures
-//!   pushdown snapshots and runs windowed aggregates over one sensor, a
-//!   whole SID sub-tree, or many sub-trees at once ([`SensorGroup`] +
-//!   [`QueryEngine::aggregate_grouped`] — group-by with one result series
-//!   per sub-tree).
+//!   pushdown snapshots and runs windowed aggregates.  Its one entry,
+//!   [`QueryEngine::aggregate`], takes [`SensorGroup`]s: one group of one
+//!   sensor, one group for a whole SID sub-tree, or many sub-trees at once
+//!   (group-by with one result series per sub-tree), optionally traced.
 //! * [`exec`] — the scoped thread-pool executor: the unit of parallel work
 //!   is a [`FANIN_CHUNK`]-sensor chunk of a group, so both many-group
 //!   queries *and* one fat fan-in (a 32-sensor rack, an ungrouped sub-tree)
@@ -46,7 +47,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use dcdb_query::{AggFn, QueryEngine};
+//! use dcdb_query::{AggFn, QueryEngine, SensorGroup};
 //! use dcdb_store::{reading::TimeRange, StoreCluster};
 //!
 //! let cluster = Arc::new(StoreCluster::single());
@@ -54,14 +55,18 @@
 //! for i in 0..600 {
 //!     cluster.insert(sid, i * 1_000_000_000, 200.0 + (i % 10) as f64);
 //! }
-//! let engine = QueryEngine::new(Arc::clone(&cluster));
-//! // 1-minute average power
-//! let avg = engine.aggregate_sid(
-//!     sid,
+//! // all cores (0); one group holding one unscaled sensor
+//! let engine = QueryEngine::new(Arc::clone(&cluster), 0);
+//! let group = SensorGroup { key: "power", sids: vec![(sid, 1.0)] };
+//! // 1-minute average power, untraced
+//! let (out, _) = engine.aggregate(
+//!     vec![group],
 //!     TimeRange::new(0, 600_000_000_000),
 //!     60_000_000_000,
 //!     AggFn::Avg,
+//!     false,
 //! );
+//! let avg = &out[0].1;
 //! assert_eq!(avg.len(), 10);
 //! assert!((avg[0].value - 204.5).abs() < 1e-9);
 //! ```
@@ -69,8 +74,7 @@
 pub mod agg;
 pub mod engine;
 pub mod exec;
-pub mod iter;
 
 pub use agg::{moments_of, parse_duration_ns, window_aggregate, AggFn, Moments, WindowedAgg};
+pub use dcdb_store::SeriesIter;
 pub use engine::{QueryEngine, SensorGroup, FANIN_CHUNK};
-pub use iter::SeriesIter;

@@ -11,6 +11,9 @@
 
 use std::sync::Arc;
 
+mod common;
+use common::fan_in;
+
 use dcdb_query::{AggFn, QueryEngine, FANIN_CHUNK};
 use dcdb_sid::{PartitionMap, SensorId};
 use dcdb_store::reading::TimeRange;
@@ -74,8 +77,10 @@ proptest! {
         let sids: Vec<(SensorId, f64)> = (0..SENSORS).map(|s| (sid(s), 1.0)).collect();
 
         let uncached = cluster_with(&writes, flush, 0);
-        let reference =
-            QueryEngine::new(Arc::clone(&uncached)).aggregate_on(&sids, range, window, agg, 1);
+        let run = |cluster: &Arc<StoreCluster>, threads: usize| {
+            fan_in(&QueryEngine::new(Arc::clone(cluster), threads), &sids, range, window, agg)
+        };
+        let reference = run(&uncached, 1);
 
         let check = |label: &str, out: &[dcdb_store::Reading]| {
             prop_assert_eq!(reference.len(), out.len(), "{}: length diverged", label);
@@ -90,16 +95,14 @@ proptest! {
         };
 
         // parallel, uncached
-        let engine = QueryEngine::new(Arc::clone(&uncached));
-        check("uncached/threads=4", &engine.aggregate_on(&sids, range, window, agg, 4))?;
+        check("uncached/threads=4", &run(&uncached, 4))?;
 
         // cached (plentiful and starved), serial and parallel, cold and warm
         for capacity in [1usize << 20, 700] {
             let cached = cluster_with(&writes, flush, capacity);
-            let engine = QueryEngine::new(Arc::clone(&cached));
-            check("cached/cold/threads=1", &engine.aggregate_on(&sids, range, window, agg, 1))?;
-            check("cached/warm/threads=4", &engine.aggregate_on(&sids, range, window, agg, 4))?;
-            check("cached/warm/threads=1", &engine.aggregate_on(&sids, range, window, agg, 1))?;
+            check("cached/cold/threads=1", &run(&cached, 1))?;
+            check("cached/warm/threads=4", &run(&cached, 4))?;
+            check("cached/warm/threads=1", &run(&cached, 1))?;
             if let Some(c) = cached.block_cache() {
                 prop_assert!(c.used_readings() <= capacity);
             }
@@ -117,11 +120,11 @@ proptest! {
         let range = TimeRange::new(start, (start + len).min(20_000));
         let sids: Vec<(SensorId, f64)> = (0..SENSORS).map(|s| (sid(s), 1.0)).collect();
         let cached = cluster_with(&writes, true, 1 << 20);
-        let engine = QueryEngine::new(Arc::clone(&cached));
+        let engine = QueryEngine::new(Arc::clone(&cached), 0);
 
-        let cold = engine.aggregate(&sids, range, 500, AggFn::Avg);
+        let cold = fan_in(&engine, &sids, range, 500, AggFn::Avg);
         let decoded_cold = cached.blocks_decoded();
-        let warm = engine.aggregate(&sids, range, 500, AggFn::Avg);
+        let warm = fan_in(&engine, &sids, range, 500, AggFn::Avg);
         prop_assert_eq!(
             cached.blocks_decoded(), decoded_cold,
             "a plentiful warm cache must serve every block without decoding"

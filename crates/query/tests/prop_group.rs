@@ -14,7 +14,10 @@
 
 use std::sync::Arc;
 
-use dcdb_query::{AggFn, QueryEngine, SensorGroup, WindowedAgg};
+mod common;
+use common::fan_in;
+
+use dcdb_query::{AggFn, QueryEngine, SensorGroup, SeriesIter, WindowedAgg};
 use dcdb_sid::SensorId;
 use dcdb_store::reading::TimeRange;
 use dcdb_store::StoreCluster;
@@ -83,12 +86,15 @@ proptest! {
         width in 1usize..=8,
     ) {
         let cluster = cluster_with(&writes, flush);
-        let engine = QueryEngine::new(Arc::clone(&cluster));
+        let engine = QueryEngine::new(Arc::clone(&cluster), 0);
         let range = TimeRange::new(start, (start + len).min(5000));
         let groups = groups_of(width);
 
-        let serial = engine.aggregate_grouped_on(groups.clone(), range, window, agg, 1);
-        let parallel = engine.aggregate_grouped_on(groups.clone(), range, window, agg, 4);
+        let grouped = |threads| {
+            let engine = QueryEngine::new(Arc::clone(&cluster), threads);
+            engine.aggregate(groups.clone(), range, window, agg, false).0
+        };
+        let (serial, parallel) = (grouped(1), grouped(4));
 
         // parallelism changes nothing, bit for bit
         prop_assert_eq!(serial.len(), parallel.len());
@@ -103,7 +109,7 @@ proptest! {
 
         // each group is exactly the ungrouped fan-in over its members
         for (group, (_, readings)) in groups.iter().zip(&parallel) {
-            let direct = engine.aggregate(&group.sids, range, window, agg);
+            let direct = fan_in(&engine, &group.sids, range, window, agg);
             prop_assert_eq!(direct.len(), readings.len());
             for (a, b) in direct.iter().zip(readings) {
                 prop_assert_eq!(a.ts, b.ts);
@@ -114,11 +120,15 @@ proptest! {
         // merging the group partials reconstructs the whole-tree fan-in
         let mut merged = WindowedAgg::new(agg, window);
         for group in &groups {
-            merged.merge(engine.aggregate_partials(&group.sids, range, window, agg));
+            let mut partial = WindowedAgg::new(agg, window);
+            for &(s, _) in &group.sids {
+                partial.feed_series(SeriesIter::new(cluster.series_snapshot(s, range), range));
+            }
+            merged.merge(partial);
         }
         let merged = merged.finish();
         let all: Vec<(SensorId, f64)> = (0..SENSORS).map(|s| (sid(s), 1.0)).collect();
-        let whole = engine.aggregate(&all, range, window, agg);
+        let whole = fan_in(&engine, &all, range, window, agg);
         prop_assert_eq!(merged.len(), whole.len());
         for (a, b) in merged.iter().zip(&whole) {
             prop_assert_eq!(a.ts, b.ts);
@@ -143,17 +153,17 @@ proptest! {
         width in 1usize..=8,
     ) {
         let cluster = cluster_with(&writes, true);
-        let engine = QueryEngine::new(Arc::clone(&cluster));
+        let engine = QueryEngine::new(Arc::clone(&cluster), 4);
         let range = TimeRange::new(start, (start + len).min(20_000));
         let window = 500;
 
         let all: Vec<(SensorId, f64)> = (0..SENSORS).map(|s| (sid(s), 1.0)).collect();
         let base = cluster.blocks_decoded();
-        engine.aggregate(&all, range, window, AggFn::Avg);
+        fan_in(&engine, &all, range, window, AggFn::Avg);
         let ungrouped_decodes = cluster.blocks_decoded() - base;
 
         let base = cluster.blocks_decoded();
-        engine.aggregate_grouped_on(groups_of(width), range, window, AggFn::Avg, 4);
+        engine.aggregate(groups_of(width), range, window, AggFn::Avg, false);
         let grouped_decodes = cluster.blocks_decoded() - base;
 
         prop_assert_eq!(

@@ -12,6 +12,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+mod common;
+use common::fan_in;
+
 use dcdb_query::{AggFn, QueryEngine};
 use dcdb_sid::{PartitionMap, SensorId};
 use dcdb_store::reading::{Reading, TimeRange};
@@ -79,10 +82,10 @@ proptest! {
         // reference: fully synchronous, settled store
         let sync = build(0, sensors, len, seed);
         sync.maintain();
-        let sync_engine = QueryEngine::with_threads(Arc::clone(&sync), 1);
+        let sync_engine = QueryEngine::new(Arc::clone(&sync), 1);
 
         let bg = build(threads, sensors, len, seed);
-        let bg_engine = QueryEngine::with_threads(Arc::clone(&bg), 1);
+        let bg_engine = QueryEngine::new(Arc::clone(&bg), 1);
 
         // churn: logically-idempotent upserts + flushes keep merges running
         let stop = Arc::new(AtomicBool::new(false));
@@ -108,8 +111,8 @@ proptest! {
                 prop_assert_eq!(bits(&a), bits(&b), "query_range diverged mid-churn");
             }
             for agg in [AggFn::Avg, AggFn::Max, AggFn::Count] {
-                let a = sync_engine.aggregate(&sids, range, window, agg);
-                let b = bg_engine.aggregate(&sids, range, window, agg);
+                let a = fan_in(&sync_engine, &sids, range, window, agg);
+                let b = fan_in(&bg_engine, &sids, range, window, agg);
                 prop_assert_eq!(bits(&a), bits(&b), "aggregate {:?} diverged mid-churn", agg);
             }
         }

@@ -1,19 +1,23 @@
 //! Pushdown correctness properties.
 //!
-//! 1. The streaming, pushdown-powered aggregate is **bit-identical** to
-//!    naive full-decode aggregation (materialise the range with
-//!    `query_range`, fold the same accumulators) over random series, ranges
-//!    and windows — flush boundaries, duplicate timestamps and raw-fallback
-//!    blocks included.
+//! 1. The engine's bulk-slice aggregate is **bit-identical** to naive
+//!    aggregation of the materialised range (collect it with
+//!    `StoreCluster::query`, fold reading by reading) over random series,
+//!    ranges and windows — flush boundaries, duplicate timestamps and
+//!    raw-fallback blocks included.  The read itself is checked against a
+//!    `BTreeMap` model in `dcdb-store`'s `prop_store.rs`.
 //! 2. Blocks that do not intersect the queried range are **never
 //!    decompressed**, proven by the per-node decode counter.
 
 use std::sync::Arc;
 
-use dcdb_query::{window_aggregate, AggFn, QueryEngine, SeriesIter};
+mod common;
+use common::fan_in;
+
+use dcdb_query::{window_aggregate, AggFn, QueryEngine};
 use dcdb_sid::SensorId;
 use dcdb_store::reading::TimeRange;
-use dcdb_store::{NodeConfig, StoreCluster, StoreNode};
+use dcdb_store::StoreCluster;
 use proptest::prelude::*;
 
 fn sid(n: u16) -> SensorId {
@@ -36,35 +40,6 @@ fn agg_strategy() -> impl Strategy<Value = AggFn> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Streaming iterator == materialised query_range, reading for reading.
-    #[test]
-    fn series_iter_matches_query_range(
-        writes in prop::collection::vec((0u16..3, 0i64..2000, -1e9f64..1e9), 1..400),
-        flush_entries in 4usize..200,
-        (start, len) in (0i64..2000, 0i64..2000),
-    ) {
-        let node = StoreNode::new(NodeConfig {
-            memtable_flush_entries: flush_entries,
-            compaction_threshold: 4,
-            ttl: None,
-            ..Default::default()
-        });
-        for &(s, ts, v) in &writes {
-            node.insert(sid(s), ts, v);
-        }
-        let range = TimeRange::new(start, (start + len).min(2000));
-        for s in 0..3u16 {
-            let naive = node.query_range(sid(s), range);
-            let streamed: Vec<_> =
-                SeriesIter::new(node.series_snapshot(sid(s), range), range).collect();
-            prop_assert_eq!(streamed.len(), naive.len());
-            for (a, b) in streamed.iter().zip(&naive) {
-                prop_assert_eq!(a.ts, b.ts);
-                prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
-            }
-        }
-    }
-
     /// Pushdown aggregate == aggregating the naive full decode, bit for bit.
     #[test]
     fn pushdown_aggregate_bit_identical_to_naive(
@@ -82,10 +57,10 @@ proptest! {
         if flush_entries < writes.len() {
             cluster.node(0).flush();
         }
-        let engine = QueryEngine::new(Arc::clone(&cluster));
+        let engine = QueryEngine::new(Arc::clone(&cluster), 0);
         let range = TimeRange::new(start, (start + len).min(5000));
         for s in 0..2u16 {
-            let pushed = engine.aggregate_sid(sid(s), range, window, agg);
+            let pushed = fan_in(&engine, &[(sid(s), 1.0)], range, window, agg);
             let naive =
                 window_aggregate(cluster.query(sid(s), range).into_iter(), window, agg);
             prop_assert_eq!(pushed.len(), naive.len());
@@ -112,11 +87,11 @@ fn out_of_range_blocks_are_not_decoded() {
     assert_eq!(cluster.block_count(), 64);
     assert_eq!(cluster.blocks_decoded(), 0);
 
-    let engine = QueryEngine::new(Arc::clone(&cluster));
+    let engine = QueryEngine::new(Arc::clone(&cluster), 0);
     // a range covering < 10% of the series: [4000, 6000) touches blocks
     // [3584..4095], [4096..4607], [4608..5119], [5632..6143] boundaries —
     // at most 5 of the 64 blocks intersect
-    let out = engine.aggregate_sid(s, TimeRange::new(4000, 6000), 500, AggFn::Avg);
+    let out = fan_in(&engine, &[(s, 1.0)], TimeRange::new(4000, 6000), 500, AggFn::Avg);
     assert_eq!(out.len(), 4);
     let decoded = cluster.blocks_decoded();
     assert!(decoded <= 5, "expected ≤ 5 of 64 blocks decoded, got {decoded}");
@@ -124,13 +99,13 @@ fn out_of_range_blocks_are_not_decoded() {
 
     // a disjoint range decodes nothing new
     let before = cluster.blocks_decoded();
-    let out = engine.aggregate_sid(s, TimeRange::new(100_000, 200_000), 500, AggFn::Avg);
+    let out = fan_in(&engine, &[(s, 1.0)], TimeRange::new(100_000, 200_000), 500, AggFn::Avg);
     assert!(out.is_empty());
     assert_eq!(cluster.blocks_decoded(), before);
 
     // the full scan pays for every block exactly once
     let before = cluster.blocks_decoded();
-    let out = engine.aggregate_sid(s, TimeRange::all(), i64::MAX / 4, AggFn::Count);
+    let out = fan_in(&engine, &[(s, 1.0)], TimeRange::all(), i64::MAX / 4, AggFn::Count);
     assert_eq!(out.iter().map(|r| r.value).sum::<f64>(), 16.0 * 2048.0);
     assert_eq!(cluster.blocks_decoded() - before, 64);
 }

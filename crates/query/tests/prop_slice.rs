@@ -12,6 +12,9 @@
 
 use std::sync::Arc;
 
+mod common;
+use common::fan_in;
+
 use dcdb_query::{AggFn, QueryEngine, SeriesIter, WindowedAgg, FANIN_CHUNK};
 use dcdb_sid::SensorId;
 use dcdb_store::reading::{Reading, TimeRange};
@@ -121,10 +124,10 @@ proptest! {
         }
         let range = TimeRange::new(start, start + len);
         let sids: Vec<(SensorId, f64)> = (0..sensors).map(|s| (sid(s), 1.0)).collect();
-        let engine = QueryEngine::with_threads(Arc::clone(&cluster), 1);
+        let engine = QueryEngine::new(Arc::clone(&cluster), 1);
 
         let base = cluster.blocks_decoded();
-        let bulk = engine.aggregate(&sids, range, window, agg);
+        let bulk = fan_in(&engine, &sids, range, window, agg);
         let bulk_decodes = cluster.blocks_decoded() - base;
 
         // with a cache the second pass runs warm: decode counts compare

@@ -14,6 +14,7 @@ use dcdb_obs::{Kind, Registry};
 use dcdb_sid::{PartitionMap, SensorId};
 
 use crate::cache::{BlockCache, CacheStats};
+use crate::iter::SeriesIter;
 use crate::maintenance::{MaintenancePool, MaintenanceSnapshot};
 use crate::node::{NodeConfig, NodeInstruments, SeriesSnapshot, StoreNode};
 use crate::reading::{Reading, TimeRange, Timestamp};
@@ -144,14 +145,10 @@ impl StoreCluster {
         }
     }
 
-    /// Query a sensor's readings in `[start, end)` from its primary node.
-    pub fn query_range(&self, sid: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {
-        self.query(sid, TimeRange::new(start, end))
-    }
-
-    /// Query with an explicit [`TimeRange`].
+    /// Query a sensor's readings in `range` from its primary node: the
+    /// snapshot's [`SeriesIter`], collected.
     pub fn query(&self, sid: SensorId, range: TimeRange) -> Vec<Reading> {
-        self.nodes[self.primary_for(sid)].query_range(sid, range)
+        SeriesIter::new(self.series_snapshot(sid, range), range).collect()
     }
 
     /// Latest reading of a sensor.
@@ -358,7 +355,7 @@ mod tests {
         let s = sid("/a/b/c");
         c.insert(s, 10, 1.5);
         c.insert(s, 20, 2.5);
-        let got = c.query_range(s, 0, 100);
+        let got = c.query(s, TimeRange::new(0, 100));
         assert_eq!(got.len(), 2);
         assert_eq!(c.latest(s).unwrap().value, 2.5);
     }
@@ -388,7 +385,7 @@ mod tests {
         // queries still find everything
         for node in 0..32 {
             let s = sid(&format!("/sys/rack0/node{node}/power"));
-            assert_eq!(c.query_range(s, 0, 100).len(), 10);
+            assert_eq!(c.query(s, TimeRange::new(0, 100)).len(), 10);
         }
     }
 
@@ -414,7 +411,7 @@ mod tests {
             c.insert(s, ts, 0.0);
         }
         c.delete_range(s, TimeRange::new(0, 5));
-        assert_eq!(c.query_range(s, 0, 100).len(), 5);
+        assert_eq!(c.query(s, TimeRange::new(0, 100)).len(), 5);
         c.maintain();
         assert_eq!(c.total_entries(), 5);
     }
@@ -431,8 +428,8 @@ mod tests {
         let batch: Vec<Reading> = (0..200).map(|i| Reading::new(i, i as f64)).collect();
         c.insert_batch(s, &batch);
         c.maintain();
-        c.query_range(s, 0, 1000);
-        c.query_range(s, 0, 1000);
+        c.query(s, TimeRange::new(0, 1000));
+        c.query(s, TimeRange::new(0, 1000));
 
         let snap = c.metrics().snapshot();
         let counter = |name: &str| match snap.get(name) {
@@ -476,6 +473,6 @@ mod tests {
         let s = sid("/b/a/t");
         let batch: Vec<Reading> = (0..100).map(|i| Reading::new(i, i as f64)).collect();
         c.insert_batch(s, &batch);
-        assert_eq!(c.query_range(s, 0, 1000).len(), 100);
+        assert_eq!(c.query(s, TimeRange::new(0, 1000)).len(), 100);
     }
 }

@@ -1,19 +1,21 @@
-//! [`SeriesIter`]: streaming, pull-based merge of one sensor's runs.
+//! [`SeriesIter`]: the store's one range-read path, a streaming,
+//! pull-based merge of one sensor's runs.
 //!
-//! The store hands over a [`SeriesSnapshot`] — the memtable's in-range
-//! slice plus *compressed block handles* for every SSTable run intersecting
-//! the range.  This iterator performs the k-way merge in timestamp order,
-//! decoding a block only when the cursor actually reaches it, applying
-//! newest-wins semantics on duplicate timestamps (sources are ordered
-//! oldest → newest, the memtable last) and dropping tombstoned/expired
-//! readings — the exact semantics of `StoreNode::query_range`, without ever
-//! materialising the full series.
+//! A [`SeriesSnapshot`] holds the memtable's in-range slice plus
+//! *compressed block handles* for every SSTable run intersecting the range.
+//! This iterator performs the k-way merge in timestamp order, decoding a
+//! block only when the cursor actually reaches it, applying newest-wins
+//! semantics on duplicate timestamps (sources are ordered oldest → newest,
+//! the memtable last) and dropping tombstoned/expired readings, without
+//! ever materialising the full series.  Raw reads
+//! ([`crate::StoreNode::query_range`]) collect it; windowed aggregation
+//! folds it.
 
 use std::sync::Arc;
 
-use dcdb_store::reading::{Reading, TimeRange};
-use dcdb_store::sstable::{BlockRef, BLOCK_LEN};
-use dcdb_store::{SeriesSnapshot, SnapshotRun};
+use crate::node::{SeriesSnapshot, SnapshotRun};
+use crate::reading::{Reading, TimeRange};
+use crate::sstable::{BlockRef, BLOCK_LEN};
 
 /// One merge source: a queue of undecoded blocks plus the shared payload of
 /// the block under the cursor, of which `[pos, end)` is in range and not
@@ -31,6 +33,7 @@ impl Source {
     /// The unconsumed in-range readings under the cursor, decoding forward
     /// past blocks that hold none (a block can intersect the range by
     /// header yet hold no in-range reading); `None` once exhausted.
+    #[inline]
     fn rest(&mut self, range: TimeRange) -> Option<&[Reading]> {
         while self.pos == self.end {
             // lazy decode: this is the only place payload bytes expand
@@ -42,6 +45,7 @@ impl Source {
     }
 
     /// Pull the next reading.
+    #[inline]
     fn next_reading(&mut self, range: TimeRange) -> Option<Reading> {
         if let Some(r) = self.peeked.take() {
             return Some(r);
@@ -51,6 +55,7 @@ impl Source {
         Some(r)
     }
 
+    #[inline]
     fn peek(&mut self, range: TimeRange) -> Option<Reading> {
         if self.peeked.is_none() {
             self.peeked = self.next_reading(range);
@@ -70,7 +75,7 @@ pub struct SeriesIter {
 
 impl SeriesIter {
     /// Build from a snapshot captured by
-    /// [`dcdb_store::StoreNode::series_snapshot`].
+    /// [`crate::StoreNode::series_snapshot`].
     pub fn new(snapshot: SeriesSnapshot, range: TimeRange) -> SeriesIter {
         let sources = snapshot
             .runs
@@ -90,6 +95,7 @@ impl SeriesIter {
     /// True when the snapshot holds exactly one run and nothing is
     /// tombstoned or expired — no duplicate timestamps to resolve, no
     /// readings to drop.
+    #[inline]
     fn is_single_run(&self) -> bool {
         self.sources.len() == 1 && self.drop_ranges.is_empty()
     }
@@ -126,6 +132,8 @@ impl SeriesIter {
 impl Iterator for SeriesIter {
     type Item = Reading;
 
+    // inlinable into the folds of `dcdb-query`, which pull it per reading
+    #[inline]
     fn next(&mut self) -> Option<Reading> {
         // Single-run fast path (the common shape after a compaction, and
         // the hot one for warm cache-served queries): one source has no
@@ -162,8 +170,8 @@ impl Iterator for SeriesIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NodeConfig, StoreNode};
     use dcdb_sid::SensorId;
-    use dcdb_store::{NodeConfig, StoreNode};
 
     fn sid(n: u16) -> SensorId {
         SensorId::from_fields(&[5, n]).unwrap()
@@ -179,10 +187,10 @@ mod tests {
         for ts in 0..20 {
             node.insert(sid(1), ts, ts as f64);
         }
-        let got: Vec<Reading> = iter_for(&node, sid(1), TimeRange::all()).collect();
-        assert_eq!(got, node.query_range(sid(1), TimeRange::all()));
-        assert_eq!(got.len(), 20);
-        assert!(got.windows(2).all(|w| w[0].ts < w[1].ts));
+        let got: Vec<(i64, f64)> =
+            iter_for(&node, sid(1), TimeRange::all()).map(|r| (r.ts, r.value)).collect();
+        let want: Vec<(i64, f64)> = (0..20).map(|ts| (ts, ts as f64)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

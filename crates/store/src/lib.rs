@@ -14,7 +14,11 @@
 //! * [`sstable`] — immutable sorted runs flushed from memtables, with a
 //!   per-sensor index and binary on-disk format,
 //! * [`node`] — one storage server: memtable + SSTables + tombstones + TTL +
-//!   size-tiered compaction,
+//!   size-tiered compaction, handing reads out as [`SeriesSnapshot`]s,
+//! * [`iter`] — [`SeriesIter`], the one range-read path: a lazy k-way merge
+//!   of a snapshot's runs (newest source wins on duplicate timestamps,
+//!   tombstoned and expired readings dropped) that raw reads collect and
+//!   windowed aggregation folds,
 //! * [`cluster`] — the distributed layer: SID-prefix partitioning (DCDB's
 //!   "store a sensor's readings on the nearest server"), replication and
 //!   cluster-wide queries,
@@ -30,6 +34,7 @@
 pub mod cache;
 pub mod cluster;
 pub mod csv;
+pub mod iter;
 pub(crate) mod locks;
 pub mod maintenance;
 pub mod memtable;
@@ -39,6 +44,7 @@ pub mod sstable;
 
 pub use cache::{BlockCache, BlockKey, CacheStats};
 pub use cluster::{ClusterStats, StoreCluster};
+pub use iter::SeriesIter;
 pub use maintenance::{MaintenancePool, MaintenanceSnapshot};
 pub use node::{NodeConfig, NodeInstruments, SeriesSnapshot, SnapshotRun, StoreNode};
 pub use reading::{Reading, TimeRange};

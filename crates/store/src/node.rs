@@ -41,6 +41,7 @@ use dcdb_sid::SensorId;
 use crate::locks::{named_rwlock, RwLock};
 
 use crate::cache::{BlockCache, CacheStats};
+use crate::iter::SeriesIter;
 use crate::maintenance::{unix_ms, MaintenancePool, MaintenanceSnapshot, PoolShared};
 use crate::memtable::MemTable;
 use crate::reading::{Reading, TimeRange, Timestamp};
@@ -57,7 +58,7 @@ pub enum SnapshotRun {
 }
 
 /// A consistent point-in-time view of one sensor's data for a range,
-/// handed to `dcdb-query`'s streaming iterators.  SSTable data stays
+/// read through [`SeriesIter`].  SSTable data stays
 /// compressed; only block *handles* are captured here — a compaction
 /// swapping the tables mid-query cannot invalidate them.
 #[derive(Debug, Clone)]
@@ -142,9 +143,6 @@ fn covers(ranges: &[(Option<SensorId>, TimeRange)], sid: SensorId, ts: Timestamp
 impl Tombstones {
     fn covers(&self, sid: SensorId, ts: Timestamp) -> bool {
         covers(&self.ranges, sid, ts)
-    }
-    fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
     }
 }
 
@@ -828,45 +826,10 @@ impl StoreNode {
         self.compact();
     }
 
-    /// Query readings of `sid` within `range`, in timestamp order.
+    /// Query readings of `sid` within `range`, in timestamp order: the
+    /// snapshot's [`SeriesIter`], collected.
     pub fn query_range(&self, sid: SensorId, range: TimeRange) -> Vec<Reading> {
-        let core = &self.core;
-        core.stats.queries.fetch_add(1, Ordering::Relaxed);
-        // Memtable first, then the frozen backlog, then the SSTables: data
-        // moving down the pipeline between the lock acquisitions shows up
-        // *twice* (and dedup drops the copy) instead of falling in a hole.
-        let mut mem = Vec::new();
-        core.memtable.read().query(sid, range, &mut mem);
-        let backlog: Vec<Arc<MemTable>> =
-            core.frozen.lock().expect("flush backlog").iter().cloned().collect();
-        let mut out = Vec::new();
-        {
-            let tables = core.sstables.read();
-            for t in tables.iter() {
-                t.query(sid, range, &mut out);
-            }
-        }
-        for mt in &backlog {
-            mt.query(sid, range, &mut out);
-        }
-        out.extend(mem);
-        // Multiple runs may contain the same (sid, ts); sources were pushed
-        // oldest → newest, so for equal timestamps the later entry wins.
-        out.sort_by_key(|r| r.ts); // stable: preserves push order within a ts
-        let mut deduped: Vec<Reading> = Vec::with_capacity(out.len());
-        for r in out {
-            match deduped.last_mut() {
-                Some(last) if last.ts == r.ts => *last = r,
-                _ => deduped.push(r),
-            }
-        }
-        let mut out = deduped;
-        let tombs = core.tombstones.read();
-        let cutoff = core.ttl_cutoff();
-        if !tombs.is_empty() || cutoff.is_some() {
-            out.retain(|r| !tombs.covers(sid, r.ts) && cutoff.is_none_or(|c| r.ts >= c));
-        }
-        out
+        SeriesIter::new(self.series_snapshot(sid, range), range).collect()
     }
 
     /// Capture a [`SeriesSnapshot`] of `sid` over `range` — the pushdown
@@ -878,9 +841,10 @@ impl StoreNode {
     pub fn series_snapshot(&self, sid: SensorId, range: TimeRange) -> SeriesSnapshot {
         let core = &self.core;
         core.stats.queries.fetch_add(1, Ordering::Relaxed);
-        // Memtable first (see query_range): data flushed between the reads
-        // duplicates instead of disappearing, and the iterator's
-        // newest-wins dedup absorbs duplicates.
+        // Memtable first, then the frozen backlog, then the SSTables: data
+        // moving down the pipeline between the lock acquisitions shows up
+        // *twice* (and the iterator's newest-wins dedup drops the copy)
+        // instead of falling in a hole.
         let mut mem = Vec::new();
         core.memtable.read().query(sid, range, &mut mem);
         let backlog: Vec<Arc<MemTable>> =
@@ -958,10 +922,10 @@ impl StoreNode {
 
     /// Most recent reading of `sid`.  On equal timestamps the newest
     /// *source* wins — active memtable over frozen backlog over SSTables,
-    /// later generations over earlier — matching `query_range`'s dedup.
+    /// later generations over earlier — matching [`SeriesIter`]'s dedup.
     pub fn latest(&self, sid: SensorId) -> Option<Reading> {
         let core = &self.core;
-        // read order memtable → backlog → tables (see query_range): data
+        // read order memtable → backlog → tables (see series_snapshot): data
         // mid-flush duplicates across sources instead of disappearing
         let mem = core.memtable.read().latest(sid);
         let backlog: Vec<Arc<MemTable>> =
@@ -1191,7 +1155,7 @@ mod tests {
     #[test]
     fn latest_equal_ts_upsert_across_runs_returns_newest() {
         // two uncompacted runs both ending at ts 10: the later run's value
-        // must win, exactly as query_range's newest-wins dedup decides
+        // must win, exactly as the read path's newest-wins dedup decides
         let node =
             StoreNode::new(NodeConfig { compaction_threshold: usize::MAX, ..Default::default() });
         node.insert(sid(1), 10, 1.0);

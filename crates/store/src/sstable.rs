@@ -365,22 +365,13 @@ impl SsTable {
     }
 
     /// The compressed blocks of `sid` intersecting `range`, in timestamp
-    /// order — the pushdown handle consumed by `dcdb-query`'s streaming
-    /// iterators.  Nothing is decoded here.
+    /// order — the pushdown handle [`crate::SeriesIter`] decodes lazily.
+    /// Nothing is decoded here.
     pub fn blocks_for(&self, sid: SensorId, range: TimeRange) -> Vec<BlockRef> {
         let Some(blocks) = self.runs.get(&sid) else { return Vec::new() };
         // blocks are ts-ordered and non-overlapping: binary search the span
         let lo = blocks.partition_point(|b| b.max_ts() < range.start);
         blocks[lo..].iter().take_while(|b| b.min_ts() < range.end).cloned().collect()
-    }
-
-    /// Append readings of `sid` within `range` to `out` (timestamp order),
-    /// decoding only the intersecting blocks.
-    pub fn query(&self, sid: SensorId, range: TimeRange, out: &mut Vec<Reading>) {
-        for block in self.blocks_for(sid, range) {
-            let payload = block.decode_shared();
-            out.extend_from_slice(&payload[range.span_in(&payload)]);
-        }
     }
 
     /// Timestamp of `sid`'s latest reading, straight from the last block's
@@ -579,6 +570,14 @@ mod tests {
         SensorId::from_fields(&[7, n]).unwrap()
     }
 
+    /// Append `s`'s readings in `range` to `out`, read through the store's
+    /// one read path over this table alone.
+    fn query(t: &SsTable, s: SensorId, range: TimeRange, out: &mut Vec<Reading>) {
+        let runs = vec![crate::SnapshotRun::Blocks(t.blocks_for(s, range))];
+        let snapshot = crate::SeriesSnapshot { runs, drop_ranges: Vec::new() };
+        out.extend(crate::SeriesIter::new(snapshot, range));
+    }
+
     fn table() -> SsTable {
         let mut entries = Vec::new();
         for s in 1..=3u16 {
@@ -594,7 +593,7 @@ mod tests {
     fn query_range_subset() {
         let t = table();
         let mut out = Vec::new();
-        t.query(sid(2), TimeRange::new(25, 55), &mut out);
+        query(&t, sid(2), TimeRange::new(25, 55), &mut out);
         assert_eq!(out.iter().map(|r| r.ts).collect::<Vec<_>>(), vec![30, 40, 50]);
         assert_eq!(out[0].value, 2030.0);
     }
@@ -603,7 +602,7 @@ mod tests {
     fn query_missing_sensor_is_empty() {
         let t = table();
         let mut out = Vec::new();
-        t.query(sid(99), TimeRange::all(), &mut out);
+        query(&t, sid(99), TimeRange::all(), &mut out);
         assert!(out.is_empty());
     }
 
@@ -629,7 +628,7 @@ mod tests {
         let new = SsTable::from_sorted(vec![(sid(1), 20, 99.0), (sid(1), 30, 3.0)]);
         let merged = SsTable::merge(&[&old, &new], |_, _| false);
         let mut out = Vec::new();
-        merged.query(sid(1), TimeRange::all(), &mut out);
+        query(&merged, sid(1), TimeRange::all(), &mut out);
         assert_eq!(
             out.iter().map(|r| (r.ts, r.value)).collect::<Vec<_>>(),
             vec![(10, 1.0), (20, 99.0), (30, 3.0)]
@@ -653,8 +652,8 @@ mod tests {
         assert_eq!(t2.len(), t.len());
         let mut out1 = Vec::new();
         let mut out2 = Vec::new();
-        t.query(sid(3), TimeRange::all(), &mut out1);
-        t2.query(sid(3), TimeRange::all(), &mut out2);
+        query(&t, sid(3), TimeRange::all(), &mut out1);
+        query(&t2, sid(3), TimeRange::all(), &mut out2);
         assert_eq!(out1, out2);
     }
 
@@ -711,8 +710,8 @@ mod tests {
         assert_eq!(t2.blocks_decoded(), 0);
         let mut a = Vec::new();
         let mut b = Vec::new();
-        t.query(sid(1), TimeRange::all(), &mut a);
-        t2.query(sid(1), TimeRange::all(), &mut b);
+        query(&t, sid(1), TimeRange::all(), &mut a);
+        query(&t2, sid(1), TimeRange::all(), &mut b);
         assert_eq!(a, b);
     }
 
@@ -726,17 +725,17 @@ mod tests {
         assert_eq!(t.blocks_decoded(), 0);
         let mut out = Vec::new();
         // a range inside one block
-        t.query(sid(1), TimeRange::new(10, 20), &mut out);
+        query(&t, sid(1), TimeRange::new(10, 20), &mut out);
         assert_eq!(out.len(), 10);
         assert_eq!(t.blocks_decoded(), 1);
         // a range spanning two blocks
         let mut out = Vec::new();
-        t.query(sid(1), TimeRange::new(500, 600), &mut out);
+        query(&t, sid(1), TimeRange::new(500, 600), &mut out);
         assert_eq!(out.len(), 100);
         assert_eq!(t.blocks_decoded(), 3);
         // a miss decodes nothing
         let mut out = Vec::new();
-        t.query(sid(1), TimeRange::new(10_000, 20_000), &mut out);
+        query(&t, sid(1), TimeRange::new(10_000, 20_000), &mut out);
         assert!(out.is_empty());
         assert_eq!(t.blocks_decoded(), 3);
     }
@@ -787,13 +786,13 @@ mod tests {
         t.write_to(&mut buf).unwrap();
         let t2 = SsTable::read_from(&mut &buf[..]).unwrap();
         let mut out = Vec::new();
-        t2.query(sid(1), TimeRange::all(), &mut out);
+        query(&t2, sid(1), TimeRange::all(), &mut out);
         assert!(out[0].value.is_nan());
         assert_eq!(out[1].value, f64::INFINITY);
         assert!(out[2].value == 0.0 && out[2].value.is_sign_negative());
         // TimeRange::all() is half-open, so ts == i64::MAX only shows in latest()
         let mut out = Vec::new();
-        t2.query(sid(2), TimeRange::all(), &mut out);
+        query(&t2, sid(2), TimeRange::all(), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].ts, i64::MIN);
         assert_eq!(t2.latest(sid(2)).unwrap().ts, i64::MAX);
@@ -806,10 +805,10 @@ mod tests {
         let cache = Arc::new(BlockCache::new(1 << 20));
         let t = SsTable::from_sorted_cached(entries, Some(Arc::clone(&cache)));
         let mut cold = Vec::new();
-        t.query(sid(1), TimeRange::new(0, 600), &mut cold);
+        query(&t, sid(1), TimeRange::new(0, 600), &mut cold);
         assert_eq!(t.blocks_decoded(), 2, "cold query decodes the two intersecting blocks");
         let mut warm = Vec::new();
-        t.query(sid(1), TimeRange::new(0, 600), &mut warm);
+        query(&t, sid(1), TimeRange::new(0, 600), &mut warm);
         assert_eq!(t.blocks_decoded(), 2, "warm query is served from the cache");
         assert_eq!(cold, warm);
         assert_eq!(t.blocks_corrupt(), 0);
@@ -834,11 +833,11 @@ mod tests {
         );
         let mut a = Vec::new();
         let mut b = Vec::new();
-        t1.query(sid(1), TimeRange::all(), &mut a);
-        t2.query(sid(1), TimeRange::all(), &mut b);
+        query(&t1, sid(1), TimeRange::all(), &mut a);
+        query(&t2, sid(1), TimeRange::all(), &mut b);
         // warm reads
-        t1.query(sid(1), TimeRange::all(), &mut a);
-        t2.query(sid(1), TimeRange::all(), &mut b);
+        query(&t1, sid(1), TimeRange::all(), &mut a);
+        query(&t2, sid(1), TimeRange::all(), &mut b);
         assert!(a.iter().take(100).all(|r| r.value == 1.0));
         assert!(a.iter().skip(100).all(|r| r.value == 1.0));
         assert!(b.iter().all(|r| r.value == 2.0));

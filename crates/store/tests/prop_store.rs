@@ -1,6 +1,9 @@
 //! Property tests: the store behaves like a sorted map from
 //! `(sensor, timestamp)` to the most recently written value, regardless of
-//! flush/compaction boundaries or cluster partitioning.
+//! flush/compaction boundaries or cluster partitioning.  The `BTreeMap`
+//! model is the reference for the store's one read path, `SeriesIter`
+//! (what `query_range` collects): full and sub-range reads, tombstones and
+//! TTL expiry.
 
 use std::collections::BTreeMap;
 
@@ -10,10 +13,22 @@ use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { sensor: u16, ts: i64, value: f64 },
+    Insert {
+        sensor: u16,
+        ts: i64,
+        value: f64,
+    },
     Flush,
     Compact,
-    Delete { sensor: u16, start: i64, len: i64 },
+    Delete {
+        sensor: u16,
+        start: i64,
+        len: i64,
+    },
+    /// Move "now" (the TTL base) forward.
+    Advance {
+        by: i64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,6 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             start,
             len
         }),
+        1 => (0i64..100).prop_map(|by| Op::Advance { by }),
     ]
 }
 
@@ -42,14 +58,17 @@ proptest! {
 
     #[test]
     fn node_matches_model(ops in prop::collection::vec(op_strategy(), 1..300),
-                          flush_entries in 4usize..64) {
+                          flush_entries in 4usize..64,
+                          ttl in prop_oneof![Just(None), (1i64..600).prop_map(Some)],
+                          reads in prop::collection::vec((0i64..1100, 0i64..400), 1..5)) {
         let node = StoreNode::new(NodeConfig {
             memtable_flush_entries: flush_entries,
             compaction_threshold: 3,
-            ttl: None,
+            ttl,
             ..Default::default()
         });
         let mut model: BTreeMap<(u16, i64), f64> = BTreeMap::new();
+        let mut now = 0i64;
         for op in &ops {
             match *op {
                 Op::Insert { sensor, ts, value } => {
@@ -62,16 +81,28 @@ proptest! {
                     node.delete_range(sid(sensor), TimeRange::new(start, start + len));
                     model.retain(|&(s, t), _| !(s == sensor && t >= start && t < start + len));
                 }
+                // monotonic, so whatever a compaction purged as expired
+                // stays expired in the model too
+                Op::Advance { by } => {
+                    now += by;
+                    node.set_now(now);
+                }
             }
         }
+        // readings older than the TTL horizon are invisible
+        let horizon = ttl.map_or(i64::MIN, |ttl| now - ttl);
+        let full = (i64::MIN, i64::MAX);
         for sensor in 0..4u16 {
-            let got = node.query_range(sid(sensor), TimeRange::all());
-            let want: Vec<(i64, f64)> = model
-                .range((sensor, i64::MIN)..=(sensor, i64::MAX))
-                .map(|(&(_, t), &v)| (t, v))
-                .collect();
-            let got: Vec<(i64, f64)> = got.iter().map(|r| (r.ts, r.value)).collect();
-            prop_assert_eq!(got, want, "sensor {} diverged", sensor);
+            for (start, end) in std::iter::once(full).chain(reads.iter().map(|&(s, l)| (s, s + l))) {
+                let got = node.query_range(sid(sensor), TimeRange::new(start, end));
+                let want: Vec<(i64, f64)> = model
+                    .range((sensor, start)..(sensor, end))
+                    .filter(|(&(_, t), _)| t >= horizon)
+                    .map(|(&(_, t), &v)| (t, v))
+                    .collect();
+                let got: Vec<(i64, f64)> = got.iter().map(|r| (r.ts, r.value)).collect();
+                prop_assert_eq!(got, want, "sensor {} diverged on [{}, {})", sensor, start, end);
+            }
         }
     }
 
@@ -89,8 +120,8 @@ proptest! {
             reference.insert(sid(s), ts, v);
         }
         for s in 0..16u16 {
-            let a = cluster.query_range(sid(s), 0, 500);
-            let b = reference.query_range(sid(s), 0, 500);
+            let a = cluster.query(sid(s), TimeRange::new(0, 500));
+            let b = reference.query(sid(s), TimeRange::new(0, 500));
             prop_assert_eq!(a, b);
         }
     }

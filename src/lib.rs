@@ -34,12 +34,13 @@
 //!
 //! ```
 //! use dcdb::store::cluster::StoreCluster;
+//! use dcdb::store::reading::TimeRange;
 //! use dcdb::sid::SensorId;
 //!
 //! let cluster = StoreCluster::single();
 //! let sid = SensorId::from_topic("/lrz/system1/rack0/node0/power").unwrap();
 //! cluster.insert(sid, 1_000_000, 240.0);
-//! let readings = cluster.query_range(sid, 0, 2_000_000);
+//! let readings = cluster.query(sid, TimeRange::new(0, 2_000_000));
 //! assert_eq!(readings.len(), 1);
 //! ```
 
