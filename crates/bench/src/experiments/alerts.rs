@@ -95,7 +95,7 @@ fn run_once(payloads: &[Vec<u8>], enabled: bool) -> (f64, u64, u64) {
     let agent = dcdb_collectagent::CollectAgent::new(Arc::clone(&cluster));
     let engine = enabled.then(|| {
         let e = Arc::new(AlertEngine::with_rules(rules()));
-        agent.install_alert_engine(Arc::clone(&e));
+        agent.sensor_db().set_alert_engine(Arc::clone(&e));
         e
     });
     let wall = Instant::now();
@@ -265,7 +265,7 @@ mod tests {
             let agent = dcdb_collectagent::CollectAgent::new(Arc::clone(&cluster));
             let engine = enabled.then(|| {
                 let e = Arc::new(AlertEngine::with_rules(rules()));
-                agent.install_alert_engine(Arc::clone(&e));
+                agent.sensor_db().set_alert_engine(Arc::clone(&e));
                 e
             });
             for p in &payloads {

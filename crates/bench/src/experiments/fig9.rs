@@ -3,7 +3,7 @@
 //! This experiment runs the *entire* dcdb-rs pipeline end to end, exactly as
 //! the paper describes the deployment: the cooling-circuit instrumentation
 //! is exposed through SNMP and REST sources, one out-of-band Pusher samples
-//! them, readings travel over the (in-process) MQTT transport to a Collect
+//! them, readings travel over the in-process MQTT output to a Collect
 //! Agent, land in the storage backend, and *virtual sensors* aggregate the
 //! raw series into total power, heat removed and the heat-removal
 //! efficiency.
@@ -12,11 +12,11 @@
 //! inlet temperature (insulated racks), power swinging ~10–35 kW over the
 //! day while inlet temperature ramps from ~27 °C upward.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dcdb_collectagent::CollectAgent;
-use dcdb_core::{SensorDb, SensorMeta, Unit};
-use dcdb_mqtt::inproc::InprocBus;
+use dcdb_core::{SensorMeta, Unit};
 use dcdb_pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
 use dcdb_pusher::plugins::{RestPlugin, SnmpPlugin};
 use dcdb_pusher::scheduler::{Pusher, PusherConfig};
@@ -54,15 +54,18 @@ pub fn run(step_s: f64) -> CaseStudy {
     rest.set("flow_m3h", 0.0);
 
     // -- monitoring pipeline -----------------------------------------
-    let bus = InprocBus::new();
-    let store = Arc::new(StoreCluster::single());
-    let agent = CollectAgent::new(store);
-    agent.attach_inproc(&bus);
+    let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
+    let publish_bytes = Arc::new(AtomicU64::new(0));
+    let (to_agent, counted) = (Arc::clone(&agent), Arc::clone(&publish_bytes));
+    let transport = MqttBackend::Callback(Arc::new(move |topic, payload| {
+        counted.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        to_agent.handle_publish(topic, payload);
+    }));
 
     let interval_ms = (step_s * 1000.0) as u64;
     let pusher = Pusher::new(
         PusherConfig { prefix: "/lrz/coolmuc3".into(), ..Default::default() },
-        MqttOut::new(MqttBackend::Inproc(Arc::clone(&bus)), SendPolicy::Continuous),
+        MqttOut::new(transport, SendPolicy::Continuous),
     );
     let mut snmp_plugin = SnmpPlugin::new();
     snmp_plugin.add_walk("pdu", Arc::clone(&snmp), "1.3.6.1.4.1.318", interval_ms);
@@ -86,7 +89,7 @@ pub fn run(step_s: f64) -> CaseStudy {
     pusher.out().flush();
 
     // -- analysis through libDCDB virtual sensors ---------------------
-    let db = SensorDb::new(Arc::clone(agent.store()), Arc::clone(agent.registry()));
+    let db = agent.sensor_db();
     let power_topic = format!("/lrz/coolmuc3/pdu/snmp/{}", POWER_OID.replace('.', "_"));
     let heat_topic = "/lrz/coolmuc3/cooling/heat_removed_kw";
     let inlet_topic = "/lrz/coolmuc3/cooling/inlet_temp_c";
@@ -128,7 +131,7 @@ pub fn run(step_s: f64) -> CaseStudy {
         series,
         mean_efficiency,
         temp_efficiency_correlation,
-        transported_readings: bus.publish_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        transported_readings: publish_bytes.load(Ordering::Relaxed)
             / dcdb_mqtt::payload::RECORD_SIZE as u64,
     }
 }

@@ -7,8 +7,8 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use dcdb_core::SensorDb;
 use dcdb_mqtt::broker::{Broker, BrokerConfig, PublishSink};
-use dcdb_mqtt::inproc::InprocBus;
 use dcdb_mqtt::payload::{decode_payload_each, PayloadEncoding, RECORD_SIZE};
 use dcdb_obs::{Histogram, Kind};
 use dcdb_sid::{SensorId, TopicRegistry};
@@ -57,22 +57,17 @@ thread_local!(static DECODED: Cell<Vec<Reading>> = const { Cell::new(Vec::new())
 
 /// The Collect Agent.
 pub struct CollectAgent {
-    registry: Arc<TopicRegistry>,
-    store: Arc<StoreCluster>,
+    /// The one libDCDB handle: store, registry, metadata, virtual sensors,
+    /// query engine and alert engine.
+    db: Arc<SensorDb>,
     stats: Arc<CollectAgentStats>,
     /// Every topic seen, keyed as published.
     slots: RwLock<std::collections::HashMap<Box<str>, Arc<TopicSlot>>>,
     observers: RwLock<Vec<ReadingObserver>>,
-    /// Worker-thread cap applied to [`CollectAgent::sensor_db`] handles
-    /// (`--query-threads`); `0` = all cores.
-    query_threads: std::sync::atomic::AtomicUsize,
     /// Per-message handler latency (the distribution behind `busy_ns`).
     handle_ns: Arc<Histogram>,
     /// Shared timing toggle from the cluster registry.
     timing: Arc<AtomicBool>,
-    /// The installed alert engine (propagated into every
-    /// [`CollectAgent::sensor_db`] handle so REST surfaces see it).
-    alerts: RwLock<Option<Arc<dcdb_core::alerts::AlertEngine>>>,
 }
 
 impl CollectAgent {
@@ -95,47 +90,25 @@ impl CollectAgent {
         let handle_ns = metrics.histogram("dcdb_ingest_handle_ns");
         let timing = metrics.enabled_flag();
         Arc::new(CollectAgent {
-            registry,
-            store,
+            db: SensorDb::new(store, registry),
             stats,
             slots: RwLock::new(std::collections::HashMap::new()),
             observers: RwLock::new(Vec::new()),
-            query_threads: std::sync::atomic::AtomicUsize::new(0),
             handle_ns,
             timing,
-            alerts: RwLock::new(None),
         })
     }
 
-    /// Install an alert engine: it gets the cluster's event journal, joins
-    /// its counters to the metrics registry, evaluates every stored batch
-    /// on the ingest path (batched, so the per-reading cost is a condition
-    /// check and a state-machine step), and rides along on every
-    /// [`CollectAgent::sensor_db`] handle (so `/alerts` and the `ALERTS`
-    /// exposition block serve it).  Periodic evaluation (staleness and
-    /// query-based rules) additionally needs
-    /// [`CollectAgent::start_alert_ticker`].
-    pub fn install_alert_engine(self: &Arc<Self>, engine: Arc<dcdb_core::alerts::AlertEngine>) {
-        engine.set_journal(self.store.metrics().events());
-        engine.register_metrics(self.store.metrics());
-        *self.alerts.write() = Some(engine);
-    }
-
-    /// The installed alert engine, if any.
-    pub fn alert_engine(&self) -> Option<Arc<dcdb_core::alerts::AlertEngine>> {
-        self.alerts.read().clone()
-    }
-
     /// Start the periodic alert evaluation loop: every `interval` the
-    /// engine's [`tick`](dcdb_core::alerts::AlertEngine::tick) runs against
-    /// a [`CollectAgent::sensor_db`] handle, driving absence/staleness
-    /// detection and query-based rules.  Same lifecycle as
+    /// engine installed with [`SensorDb::set_alert_engine`] ticks against
+    /// the agent's handle, driving absence/staleness detection and
+    /// query-based rules.  Same lifecycle as
     /// [`CollectAgent::start_self_monitor`]: the thread holds a [`Weak`]
     /// agent reference and stops when the returned guard drops.
     pub fn start_alert_ticker(self: &Arc<Self>, interval: Duration) -> SelfMonitor {
         self.spawn_periodic("dcdb-alert-ticker", interval, |agent, now| {
-            if let Some(engine) = agent.alert_engine() {
-                engine.tick(now, Some(&agent.sensor_db()));
+            if let Some(engine) = agent.db.alert_engine() {
+                engine.tick(now, Some(&agent.db));
             }
         })
     }
@@ -179,7 +152,7 @@ impl CollectAgent {
                 decode_payload_each(payload, |ts, value| readings.push(Reading::new(ts, value)))?;
             let known = self.slots.read().get(topic).cloned();
             let slot = known.or_else(|| {
-                let sid = self.registry.resolve(topic).ok()?;
+                let sid = self.db.registry().resolve(topic).ok()?;
                 let slot = Arc::new(TopicSlot { sid, latest: Mutex::new((encoding, None)) });
                 Some(Arc::clone(self.slots.write().entry(topic.into()).or_insert(slot)))
             })?;
@@ -193,16 +166,15 @@ impl CollectAgent {
                 slot.latest.lock().0 = encoding;
                 return Some(0);
             };
-            self.store.insert_batch(slot.sid, &readings);
+            let store = self.db.store();
+            store.insert_batch(slot.sid, &readings);
             // advance the store's TTL horizon with the data clock so the
             // maintenance ticker can expire old readings without the
             // agent ever reading a wall clock on the ingest path
-            self.store.advance_now(last.ts);
+            store.advance_now(last.ts);
             *slot.latest.lock() = (encoding, Some(last));
-            if let Some(engine) = self.alerts.read().as_ref() {
-                // batched: filter match + instance lookup once per publish
-                engine.observe_batch(topic, &readings);
-            }
+            // batched: filter match + instance lookup once per publish
+            self.db.observe_alerts(topic, &readings);
             let observers = self.observers.read();
             for r in readings.iter().filter(|_| !observers.is_empty()) {
                 for obs in observers.iter() {
@@ -235,34 +207,20 @@ impl CollectAgent {
 
     /// The topic ↔ SID registry (shared with query tooling).
     pub fn registry(&self) -> &Arc<TopicRegistry> {
-        &self.registry
+        self.db.registry()
     }
 
-    /// A libDCDB handle over this agent's store and registry — the unified
-    /// query surface (`SensorDb::execute`) the REST API serves from.  The
-    /// handle shares the agent's `Arc`s, so it sees live data; metadata and
-    /// virtual sensors registered on it are its own.  The agent's query
-    /// worker-thread cap (see [`CollectAgent::set_query_threads`]) carries
-    /// over.
-    pub fn sensor_db(&self) -> Arc<dcdb_core::SensorDb> {
-        let db = dcdb_core::SensorDb::new(Arc::clone(&self.store), Arc::clone(&self.registry));
-        db.set_query_threads(self.query_threads.load(Ordering::Relaxed));
-        if let Some(engine) = self.alerts.read().clone() {
-            db.set_alert_engine(engine);
-        }
-        db
-    }
-
-    /// Cap the worker threads the REST API's windowed queries may use
-    /// (`--query-threads`); `0` = all cores.  Applies to handles created by
-    /// [`CollectAgent::sensor_db`] *after* this call.
-    pub fn set_query_threads(&self, threads: usize) {
-        self.query_threads.store(threads, Ordering::Relaxed);
+    /// The agent's one libDCDB handle, the same `Arc` on every call: the
+    /// unified query surface (`SensorDb::execute`) the REST API, the alert
+    /// ticker and the self-monitor all use.  Metadata, virtual sensors and
+    /// the alert engine set on it are seen by every one of them.
+    pub fn sensor_db(&self) -> Arc<SensorDb> {
+        Arc::clone(&self.db)
     }
 
     /// The storage cluster.
     pub fn store(&self) -> &Arc<StoreCluster> {
-        &self.store
+        self.db.store()
     }
 
     /// Counters.
@@ -295,7 +253,7 @@ impl CollectAgent {
         v
     }
 
-    /// A [`PublishSink`] for wiring into an MQTT broker or inproc bus.
+    /// A [`PublishSink`] for wiring into an MQTT broker.
     pub fn sink(self: &Arc<Self>) -> PublishSink {
         let agent = Arc::clone(self);
         Arc::new(move |topic: &str, payload: &Bytes, _qos| {
@@ -311,30 +269,18 @@ impl CollectAgent {
         Broker::start(cfg, Some(self.sink()))
     }
 
-    /// Attach this agent to an in-process bus (simulation harness).
-    pub fn attach_inproc(self: &Arc<Self>, bus: &InprocBus) {
-        bus.set_sink(self.sink());
-    }
-
-    /// One self-monitoring sweep: fold the current metrics scrape into
-    /// readings under `/_dcdb/<node>/…`, stamped `ts`.  Returns the number
-    /// of readings written.  [`CollectAgent::start_self_monitor`] calls
-    /// this periodically with the wall clock.
-    pub fn publish_self_metrics(&self, node: &str, ts: i64) -> usize {
-        self.sensor_db().publish_self_metrics(node, ts)
-    }
-
     /// Start the periodic self-monitoring loop (`--self-metrics-s`): every
     /// `interval` the agent scrapes its own registry and stores the values
-    /// as `/_dcdb/<node>/…` sensors — database health becomes history that
-    /// is queried, plotted and alerted on exactly like any other sensor.
+    /// as `/_dcdb/<node>/…` sensors ([`SensorDb::publish_self_metrics`]) —
+    /// database health becomes history that is queried, plotted and
+    /// alerted on exactly like any other sensor.
     ///
     /// The thread holds only a [`Weak`] reference and exits on its own once
     /// the agent is dropped (or when the returned handle is).
     pub fn start_self_monitor(self: &Arc<Self>, node: &str, interval: Duration) -> SelfMonitor {
         let node = node.to_string();
         self.spawn_periodic("dcdb-self-monitor", interval, move |agent, now| {
-            agent.publish_self_metrics(&node, now);
+            agent.db.publish_self_metrics(&node, now);
         })
     }
 }
@@ -435,14 +381,28 @@ mod tests {
     }
 
     #[test]
-    fn inproc_bus_wiring() {
+    fn in_process_pusher_wiring() {
+        use dcdb_pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
         let a = agent();
-        let bus = InprocBus::new();
-        a.attach_inproc(&bus);
-        bus.publish("/bus/s1", &encode_readings(&[(5, 9.0)]), dcdb_mqtt::codec::QoS::AtMostOnce);
+        let to_agent = Arc::clone(&a);
+        let out = MqttOut::new(
+            MqttBackend::Callback(Arc::new(move |topic, payload| {
+                to_agent.handle_publish(topic, payload)
+            })),
+            SendPolicy::Continuous,
+        );
+        out.push("/bus/s1", 5, 9.0);
         assert_eq!(a.stats().readings.load(Ordering::Relaxed), 1);
         let sid = a.registry().get("/bus/s1").unwrap();
         assert_eq!(a.store().query(sid, TimeRange::all()).len(), 1);
+    }
+
+    #[test]
+    fn sensor_db_is_one_handle() {
+        let a = agent();
+        assert!(Arc::ptr_eq(&a.sensor_db(), &a.sensor_db()));
+        assert!(Arc::ptr_eq(a.sensor_db().store(), a.store()));
+        assert!(Arc::ptr_eq(a.sensor_db().registry(), a.registry()));
     }
 
     #[test]
@@ -578,7 +538,7 @@ mod tests {
         let a = agent();
         a.handle_publish("/s/x", &encode_readings(&[(10, 1.0)]));
         // one deterministic sweep first
-        let written = a.publish_self_metrics("agent0", 1_000);
+        let written = a.sensor_db().publish_self_metrics("agent0", 1_000);
         assert!(written > 0);
         let db = a.sensor_db();
         let s = db.query("/_dcdb/agent0/dcdb_agent_messages_total", TimeRange::all()).unwrap();
@@ -604,7 +564,7 @@ mod tests {
         let a = agent();
         let engine = Arc::new(AlertEngine::new());
         engine.add_rule(AlertRule::new("hot", "/sys/+/power", AlertCondition::Above(300.0)));
-        a.install_alert_engine(Arc::clone(&engine));
+        a.sensor_db().set_alert_engine(Arc::clone(&engine));
         // live readings drive the state machine through the observer hook
         a.handle_publish("/sys/node0/power", &encode_readings(&[(1_000, 250.0)]));
         assert_eq!(engine.alerts()[0].state, AlertState::Inactive);
@@ -616,7 +576,7 @@ mod tests {
             .since(0)
             .iter()
             .any(|e| e.kind == dcdb_obs::EventKind::AlertTransition && e.subject == "hot"));
-        // sensor_db handles see the installed engine (REST surfaces)
+        // the one handle serves the installed engine (REST surfaces)
         assert!(a.sensor_db().alert_engine().is_some());
         // the engine's counters joined the registry
         let snap = a.store().metrics().snapshot();
@@ -637,7 +597,7 @@ mod tests {
             "/sys/#",
             AlertCondition::Absent { timeout_ns: 1_000_000 },
         ));
-        a.install_alert_engine(Arc::clone(&engine));
+        a.sensor_db().set_alert_engine(Arc::clone(&engine));
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as i64)
@@ -653,6 +613,39 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         ticker.stop();
+    }
+
+    #[test]
+    fn alert_ticker_queries_see_the_agent_metadata() {
+        use dcdb_core::alerts::{AlertCondition, AlertEngine, AlertRule, AlertState};
+        use dcdb_core::{SensorMeta, Unit};
+        let a = agent();
+        let meta = SensorMeta { scale: 0.001, ..SensorMeta::with_unit(Unit::WATT) };
+        a.sensor_db().set_meta("/sys/node0/power", meta);
+        let engine = Arc::new(AlertEngine::new());
+        engine.add_rule(
+            AlertRule::new("hot", "/sys/node0/power", AlertCondition::Above(0.0))
+                .query_eval(dcdb_query::AggFn::Avg, 3_600_000_000_000),
+        );
+        a.sensor_db().set_alert_engine(Arc::clone(&engine));
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as i64)
+            .unwrap();
+        a.handle_publish("/sys/node0/power", &encode_readings(&[(now - 1_000_000, 250_000.0)]));
+        let ticker = a.start_alert_ticker(Duration::from_millis(5));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let alert = loop {
+            match engine.alerts().first() {
+                Some(alert) if alert.state == AlertState::Firing => break alert.clone(),
+                _ => {}
+            }
+            assert!(Instant::now() < deadline, "query alert never fired");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        ticker.stop();
+        // the ticker queried the agent's handle: 250 000 mW read as 250 W
+        assert!((alert.value - 250.0).abs() < 1e-9, "{alert:?}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dcdb_core::{QueryError, QueryRequest};
+use dcdb_core::{QueryError, QueryRequest, SensorDb};
 use dcdb_http::json::Json;
 use dcdb_http::server::{HttpServer, Method, Response, StatusCode};
 use dcdb_http::Router;
@@ -45,6 +45,7 @@ use crate::agent::CollectAgent;
 /// Build the REST router for a Collect Agent.
 pub fn router(agent: Arc<CollectAgent>) -> Router {
     let mut r = Router::new();
+    let db = agent.sensor_db();
 
     let a = Arc::clone(&agent);
     r.add(Method::Get, "/sensors", move |_req| {
@@ -65,12 +66,12 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
         }
     });
 
-    let a = Arc::clone(&agent);
+    let d = Arc::clone(&db);
     r.add(Method::Get, "/hierarchy", move |req| {
         let prefix = req.query_param("prefix").unwrap_or("/").to_string();
         let level = req.query_parsed("level", 0usize);
         let children: Vec<Json> =
-            a.registry().children_at(&prefix, level).into_iter().map(Json::Str).collect();
+            d.registry().children_at(&prefix, level).into_iter().map(Json::Str).collect();
         Response::json(&Json::obj([
             ("prefix", Json::str(prefix)),
             ("level", Json::Num(level as f64)),
@@ -78,7 +79,7 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
         ]))
     });
 
-    let db = agent.sensor_db();
+    let d = Arc::clone(&db);
     r.add(Method::Get, "/aggregate", move |req| {
         // exact topic or sub-tree fan-in, through the unified query path
         let qreq = match QueryRequest::from_url(req) {
@@ -89,7 +90,7 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
             return QueryError::InvalidRequest("missing agg or window".into()).to_response();
         };
         let (topic, grouped) = (qreq.target.as_str(), qreq.group_by.is_some());
-        let resp = match db.execute(&qreq) {
+        let resp = match d.execute(&qreq) {
             Ok(resp) => resp,
             Err(e) => return e.to_response(),
         };
@@ -133,35 +134,12 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
         }
     });
 
-    let a = Arc::clone(&agent);
-    r.add(Method::Get, "/metrics", move |_req| {
-        // Prometheus text exposition of the cluster registry: node latency
-        // histograms, query stages, cache/maintenance counters and the
-        // agent's own ingest counters — the same numbers `/stats` reports —
-        // plus the ALERTS block when an alert engine is installed
-        dcdb_core::grafana::metrics_response(&a.sensor_db())
-    });
+    dcdb_core::grafana::observability_routes(&mut r, &db);
 
-    let a = Arc::clone(&agent);
-    r.add(Method::Get, "/alerts", move |_req| dcdb_core::grafana::alerts_response(&a.sensor_db()));
-
-    let a = Arc::clone(&agent);
-    r.add(Method::Get, "/events", move |req| {
-        dcdb_core::grafana::events_response(&a.sensor_db(), req)
-    });
-
-    let a = Arc::clone(&agent);
-    r.add(Method::Get, "/debug/slow_queries", move |_req| {
-        dcdb_core::grafana::slow_queries_response(&a.sensor_db())
-    });
-
-    r.add(Method::Get, "/debug/lockgraph", move |_req| dcdb_core::grafana::lockgraph_response());
-
-    let a = Arc::clone(&agent);
     r.add(Method::Get, "/stats", move |_req| {
-        let s = a.stats();
+        let (store, s) = (db.store(), agent.stats());
         // registry-only values (the histograms have no legacy accessor)
-        let snap = a.store().metrics().snapshot();
+        let snap = store.metrics().snapshot();
         let histo = |name: &str, q: f64| match snap.get(name) {
             Some(dcdb_obs::MetricValue::Histogram(h)) if h.count > 0 => h.quantile(q) as f64,
             _ => 0.0,
@@ -170,8 +148,8 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
             Some(dcdb_obs::MetricValue::Counter(v) | dcdb_obs::MetricValue::Gauge(v)) => *v as f64,
             _ => 0.0,
         };
-        let cache = a.store().cache_stats();
-        let maint = a.store().maintenance_stats();
+        let cache = store.cache_stats();
+        let maint = store.maintenance_stats();
         // how stale the durable state may be: seconds since the most
         // recent memtable flush anywhere in the cluster (-1 = never)
         let last_flush_age_s = if maint.last_flush_unix_ms == 0 {
@@ -188,8 +166,8 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
             ("readings", Json::Num(s.readings.load(Ordering::Relaxed) as f64)),
             ("dropped", Json::Num(s.dropped.load(Ordering::Relaxed) as f64)),
             ("busyNs", Json::Num(s.busy_ns.load(Ordering::Relaxed) as f64)),
-            ("blocksDecoded", Json::Num(a.store().blocks_decoded() as f64)),
-            ("blocksCorrupt", Json::Num(a.store().blocks_corrupt() as f64)),
+            ("blocksDecoded", Json::Num(store.blocks_decoded() as f64)),
+            ("blocksCorrupt", Json::Num(store.blocks_corrupt() as f64)),
             ("cacheCapacityReadings", Json::Num(cache.capacity_readings as f64)),
             ("cacheUsedReadings", Json::Num(cache.used_readings as f64)),
             ("cacheHits", Json::Num(cache.hits as f64)),
@@ -215,7 +193,7 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
             ("flushNsP90", Json::Num(histo("dcdb_flush_ns", 0.9))),
             ("flushNsP99", Json::Num(histo("dcdb_flush_ns", 0.99))),
             // the alert engine's posture, compact (full detail on /alerts)
-            ("alerts", alerts_block(&a)),
+            ("alerts", alerts_block(&db)),
             // the event journal's high-water marks (full detail on /events)
             ("eventsTotal", Json::Num(scalar("dcdb_events_total"))),
             ("eventsDropped", Json::Num(scalar("dcdb_events_dropped_total"))),
@@ -227,8 +205,8 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
 
 /// The `alerts` object on `/stats`: engine posture without the per-instance
 /// detail (`null`-free; all zeros when no engine is installed).
-fn alerts_block(agent: &CollectAgent) -> Json {
-    let (rules, active, notifications, transitions) = match agent.alert_engine() {
+fn alerts_block(db: &SensorDb) -> Json {
+    let (rules, active, notifications, transitions) = match db.alert_engine() {
         Some(e) => (
             e.rules().len() as f64,
             e.active_count() as f64,
@@ -261,6 +239,12 @@ mod tests {
     use std::collections::HashMap;
 
     fn handler() -> dcdb_http::server::Handler {
+        handler_with(|_| {})
+    }
+
+    /// Three nodes' power, 120 s at 1 Hz; `setup` runs after the router is
+    /// built.
+    fn handler_with(setup: impl FnOnce(&CollectAgent)) -> dcdb_http::server::Handler {
         let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
         for node in 0..3i64 {
             let topic = format!("/r0/n{node}/power");
@@ -268,7 +252,9 @@ mod tests {
                 (0..120).map(|i| (i * 1_000_000_000, 100.0 + node as f64)).collect();
             agent.handle_publish(&topic, &encode_readings(&readings));
         }
-        router(agent).into_handler()
+        let handler = router(Arc::clone(&agent)).into_handler();
+        setup(&agent);
+        handler
     }
 
     fn get(h: &dcdb_http::server::Handler, path: &str, query: &[(&str, &str)]) -> (u16, Json) {
@@ -443,7 +429,7 @@ mod tests {
             "/r0/n0/power",
             AlertCondition::Above(100.0),
         )]));
-        agent.install_alert_engine(Arc::clone(&engine));
+        agent.sensor_db().set_alert_engine(Arc::clone(&engine));
         let h = router(Arc::clone(&agent)).into_handler();
 
         agent.handle_publish("/r0/n0/power", &encode_readings(&[(1_000, 250.0)]));
@@ -509,6 +495,35 @@ mod tests {
         let entry = queries.last().unwrap();
         assert!(entry.get("totalNs").unwrap().as_f64().unwrap() >= 1.0);
         assert_eq!(entry.get("trace").unwrap().get("stage").unwrap().as_str(), Some("execute"));
+    }
+
+    #[test]
+    fn aggregate_applies_metadata_set_on_the_agent_handle() {
+        use dcdb_core::{SensorMeta, Unit};
+        let h = handler_with(|agent| {
+            let meta = SensorMeta { scale: 0.001, ..SensorMeta::with_unit(Unit::WATT) };
+            agent.sensor_db().set_meta("/r0/n1/power", meta);
+        });
+        let q = [("topic", "/r0/n1/power"), ("agg", "avg"), ("window", "60s")];
+        let (code, j) = get(&h, "/aggregate", &q);
+        assert_eq!(code, 200);
+        let dp = j.get("datapoints").unwrap().as_arr().unwrap();
+        let avg = dp[0].idx(0).unwrap().as_f64().unwrap();
+        assert!((avg - 0.101).abs() < 1e-12, "101 scaled by 0.001, got {avg}");
+    }
+
+    #[test]
+    fn aggregate_answers_virtual_sensors_of_the_agent_handle() {
+        let h = handler_with(|agent| {
+            let db = agent.sensor_db();
+            db.define_virtual("/v/double", "\"/r0/n1/power\" * 2", dcdb_core::Unit::NONE).unwrap();
+        });
+        let q = [("topic", "/v/double"), ("agg", "avg"), ("window", "60s")];
+        let (code, j) = get(&h, "/aggregate", &q);
+        assert_eq!(code, 200);
+        let dp = j.get("datapoints").unwrap().as_arr().unwrap();
+        assert_eq!(dp.len(), 2, "120 s of data in 60 s windows");
+        assert_eq!(dp[0].idx(0).unwrap().as_f64(), Some(202.0));
     }
 
     #[test]

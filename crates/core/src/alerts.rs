@@ -464,9 +464,8 @@ impl AlertEngine {
         engine
     }
 
-    /// Record alert transitions into `journal` (idempotent; the Collect
-    /// Agent and [`SensorDb::set_alert_engine`] wire the cluster's journal
-    /// here).  Also journals a config-change event per call.
+    /// Record alert transitions into `journal` (idempotent;
+    /// [`SensorDb::set_alert_engine`] wires the cluster's journal here).  Also journals a config-change event per call.
     pub fn set_journal(&self, journal: Arc<EventJournal>) {
         // read the rule count before taking the journal slot: acquiring
         // `rules` under `journal` inverts the `observe_batch` → `note`

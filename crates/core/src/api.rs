@@ -2,8 +2,10 @@
 //!
 //! [`SensorDb`] bundles the storage cluster, the topic registry and sensor
 //! metadata (units, scaling factors — maintained via `dcdbconfig` in the
-//! paper, §5.2) behind one handle.  Virtual sensors registered on the
-//! handle are queried exactly like physical ones (paper §3.2).
+//! paper, §5.2) behind one handle, with the one query engine (all cores,
+//! built with the handle) its windowed requests run on.  Virtual sensors
+//! registered on the handle are queried exactly like physical ones
+//! (paper §3.2).
 //!
 //! All querying funnels through **one execution path**:
 //! [`SensorDb::execute`] takes a typed [`QueryRequest`] (exact topic,
@@ -13,12 +15,12 @@
 //! single topic.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dcdb_obs::{MetricValue, Registry, TraceSpan};
-use dcdb_query::{AggFn, SensorGroup};
+use dcdb_query::{AggFn, QueryEngine, SensorGroup};
 use dcdb_sid::{SensorId, TopicRegistry};
 use dcdb_store::reading::{Reading, TimeRange};
 use dcdb_store::StoreCluster;
@@ -65,8 +67,8 @@ pub struct SensorDb {
     registry: Arc<TopicRegistry>,
     meta: RwLock<HashMap<String, SensorMeta>>,
     virtuals: RwLock<HashMap<String, Arc<VirtualSensor>>>,
-    /// Worker-thread cap for parallel query evaluation; `0` = all cores.
-    query_threads: AtomicUsize,
+    /// The windowed-query engine, built once on all cores.
+    engine: QueryEngine,
     /// Query-path instruments, resolved once from the cluster's registry so
     /// `execute` never takes the registry lock.
     instruments: QueryInstruments,
@@ -137,11 +139,11 @@ impl SensorDb {
     pub fn new(store: Arc<StoreCluster>, registry: Arc<TopicRegistry>) -> Arc<SensorDb> {
         let instruments = QueryInstruments::from_registry(store.metrics());
         Arc::new(SensorDb {
+            engine: QueryEngine::new(Arc::clone(&store), 0),
             store,
             registry,
             meta: RwLock::new(HashMap::new()),
             virtuals: RwLock::new(HashMap::new()),
-            query_threads: AtomicUsize::new(0),
             instruments,
             alerts: RwLock::new(None),
         })
@@ -170,7 +172,9 @@ impl SensorDb {
     /// Install an alert engine on this handle: the engine gets the
     /// cluster's event journal, joins its counters to the metrics registry,
     /// and becomes visible to the REST surfaces (`/alerts`, the `ALERTS`
-    /// exposition block).
+    /// exposition block).  A Collect Agent feeds it every stored batch
+    /// ([`SensorDb::observe_alerts`]); staleness and query-based rules
+    /// also need the agent's alert ticker.
     pub fn set_alert_engine(&self, engine: Arc<crate::alerts::AlertEngine>) {
         engine.set_journal(self.store.metrics().events());
         engine.register_metrics(self.store.metrics());
@@ -180,6 +184,14 @@ impl SensorDb {
     /// The installed alert engine, if any.
     pub fn alert_engine(&self) -> Option<Arc<crate::alerts::AlertEngine>> {
         self.alerts.read().clone()
+    }
+
+    /// Feed one stored batch of `topic` to the installed alert engine, if
+    /// any: the ingest path's hook, one read lock and no `Arc` clone.
+    pub fn observe_alerts(&self, topic: &str, readings: &[Reading]) {
+        if let Some(engine) = self.alerts.read().as_ref() {
+            engine.observe_batch(topic, readings);
+        }
     }
 
     /// The cluster's event journal (`GET /events`).
@@ -231,18 +243,6 @@ impl SensorDb {
             }
         }
         written
-    }
-
-    /// Cap the worker threads windowed queries may use (`--query-threads`):
-    /// `1` keeps evaluation on the calling thread, `0` restores the default
-    /// of all available cores.  Results are bit-identical for every value.
-    pub fn set_query_threads(&self, threads: usize) {
-        self.query_threads.store(threads, Ordering::Relaxed);
-    }
-
-    /// The configured query worker-thread cap (`0` = all cores).
-    pub fn query_threads(&self) -> usize {
-        self.query_threads.load(Ordering::Relaxed)
     }
 
     /// Insert one reading under `topic`.
@@ -528,8 +528,8 @@ impl SensorDb {
             prepared.push(Prepared { key, base, unit, post_scale, sensors: members.len() });
             tasks.push(SensorGroup { key: prepared.len() - 1, sids: pairs });
         }
-        let engine = dcdb_query::QueryEngine::new(Arc::clone(&self.store), self.query_threads());
-        let (results, engine_span) = engine.aggregate(tasks, req.range, window_ns, agg, traced);
+        let (results, engine_span) =
+            self.engine.aggregate(tasks, req.range, window_ns, agg, traced);
         let series = results
             .into_iter()
             .map(|(idx, mut readings)| {

@@ -23,8 +23,9 @@
 //!   tagged with their `group` key — one Grafana panel line per rack/node,
 //! * `GET /annotations` style stats: `GET /stats?topic=...` (min/max/avg of
 //!   the plotted metric, like the panel legend),
-//! * `GET /debug/lockgraph` — the runtime-observed lock-order edges
-//!   (`lock-trace` builds; `enabled: false` and no edges otherwise).
+//! * the routes shared with the Collect Agent's REST API
+//!   ([`observability_routes`]): `/metrics`, `/alerts`, `/events`,
+//!   `/debug/slow_queries` and `/debug/lockgraph`.
 //!
 //! Every data path builds a [`crate::QueryRequest`] and goes through
 //! [`SensorDb::execute`].
@@ -95,19 +96,7 @@ pub fn router(db: Arc<SensorDb>) -> Router {
         }
     });
 
-    let d = Arc::clone(&db);
-    r.add(Method::Get, "/metrics", move |_req| metrics_response(&d));
-
-    let d = Arc::clone(&db);
-    r.add(Method::Get, "/alerts", move |_req| alerts_response(&d));
-
-    let d = Arc::clone(&db);
-    r.add(Method::Get, "/events", move |req| events_response(&d, req));
-
-    let d = Arc::clone(&db);
-    r.add(Method::Get, "/debug/slow_queries", move |_req| slow_queries_response(&d));
-
-    r.add(Method::Get, "/debug/lockgraph", move |_req| lockgraph_response());
+    observability_routes(&mut r, &db);
 
     let d = Arc::clone(&db);
     r.add(Method::Get, "/stats", move |req| {
@@ -132,13 +121,27 @@ pub fn router(db: Arc<SensorDb>) -> Router {
     r
 }
 
+/// Register the routes every REST surface serves over its one handle:
+/// `/metrics`, `/alerts`, `/events`, `/debug/slow_queries` and
+/// `/debug/lockgraph`.  The Grafana router and the Collect Agent's REST
+/// API both call this.
+pub fn observability_routes(r: &mut Router, db: &Arc<SensorDb>) {
+    let d = Arc::clone(db);
+    r.add(Method::Get, "/metrics", move |_req| metrics_response(&d));
+    let d = Arc::clone(db);
+    r.add(Method::Get, "/alerts", move |_req| alerts_response(&d));
+    let d = Arc::clone(db);
+    r.add(Method::Get, "/events", move |req| events_response(&d, req));
+    let d = Arc::clone(db);
+    r.add(Method::Get, "/debug/slow_queries", move |_req| slow_queries_response(&d));
+    r.add(Method::Get, "/debug/lockgraph", move |_req| lockgraph_response());
+}
+
 /// `GET /metrics`: the Prometheus text exposition of the cluster's whole
 /// registry, with the `ALERTS{alertname=...,state=...}` block appended
 /// when an alert engine is installed.  Served with the exposition-format
 /// content type (`text/plain; version=0.0.4`) so scrapers negotiate it.
-///
-/// Shared by the Grafana router and the Collect Agent's REST API.
-pub fn metrics_response(db: &SensorDb) -> Response {
+fn metrics_response(db: &SensorDb) -> Response {
     let mut text = db.metrics().render_prometheus();
     if let Some(engine) = db.alert_engine() {
         text.push_str(&engine.render_prometheus());
@@ -148,7 +151,7 @@ pub fn metrics_response(db: &SensorDb) -> Response {
 
 /// `GET /alerts`: every known alert instance as JSON, plus engine totals.
 /// Empty-but-valid when no engine is installed.
-pub fn alerts_response(db: &SensorDb) -> Response {
+fn alerts_response(db: &SensorDb) -> Response {
     let (alerts, notifications, transitions) = match db.alert_engine() {
         Some(engine) => (engine.alerts(), engine.notifications(), engine.transitions()),
         None => (Vec::new(), 0, 0),
@@ -177,7 +180,7 @@ pub fn alerts_response(db: &SensorDb) -> Response {
 /// `GET /events?since=<seq>`: the structured event journal, strictly after
 /// `since` (0 = everything still buffered).  Clients page by passing the
 /// `lastSeq` they saw; `dropped` counts events lost to ring overflow.
-pub fn events_response(db: &SensorDb, req: &dcdb_http::server::Request) -> Response {
+fn events_response(db: &SensorDb, req: &dcdb_http::server::Request) -> Response {
     let journal = db.events();
     let since = req.query_parsed("since", 0u64);
     let events: Vec<Json> = journal
@@ -204,7 +207,7 @@ pub fn events_response(db: &SensorDb, req: &dcdb_http::server::Request) -> Respo
 /// `GET /debug/slow_queries`: the last offenders over the slow-query
 /// threshold, each with its full trace-span tree (nested JSON) and the
 /// human-readable rendering `dcdbquery --trace` prints.
-pub fn slow_queries_response(db: &SensorDb) -> Response {
+fn slow_queries_response(db: &SensorDb) -> Response {
     let log = db.slow_queries();
     let queries: Vec<Json> = log
         .entries()
@@ -231,7 +234,7 @@ pub fn slow_queries_response(db: &SensorDb) -> Response {
 /// observed so far (`lock-trace` feature; empty with `enabled: false`
 /// otherwise).  Compare against the static graph in
 /// `results/LINT_report.json` — every observed edge should be there.
-pub fn lockgraph_response() -> Response {
+fn lockgraph_response() -> Response {
     let edges: Vec<Json> = dcdb_obs::lockgraph::edges()
         .into_iter()
         .map(|(from, to)| Json::obj([("from", Json::str(from)), ("to", Json::str(to))]))

@@ -13,14 +13,11 @@
 //!   (paper §4.2), with an in-process sink callback receiving every
 //!   publish instead,
 //! * [`client`] — a blocking client with QoS 0/1 publish, keep-alive and
-//!   automatic reconnect,
-//! * [`inproc`] — an in-process transport used by the simulation harness so
-//!   millions of messages per second can be pushed without kernel sockets.
+//!   automatic reconnect.
 
 pub mod broker;
 pub mod client;
 pub mod codec;
-pub mod inproc;
 pub mod payload;
 pub mod topic;
 

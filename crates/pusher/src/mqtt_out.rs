@@ -6,8 +6,9 @@
 //! paper found AMG performed best with bursts twice per minute because the
 //! reduced duty cycle interferes less with its small-message MPI traffic).
 //!
-//! The output backend is pluggable: a real TCP MQTT client, the in-process
-//! bus (simulation), or a plain callback (tests).  A TCP backend stages each
+//! The output backend is pluggable: a real TCP MQTT client, or a plain
+//! callback (simulation and tests: in process, straight into a Collect
+//! Agent's `handle_publish`).  A TCP backend stages each
 //! message's PUBLISH frame and writes the stage before
 //! [`crate::Pusher::sample_due`] or [`MqttOut::flush`] returns: one socket
 //! write per sampling round or burst (per 64 KiB of frames), not one per
@@ -19,8 +20,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use dcdb_mqtt::client::{Client, FrameBatch};
-use dcdb_mqtt::codec::QoS;
-use dcdb_mqtt::inproc::InprocBus;
 use dcdb_mqtt::payload::{
     encode_payload_into, encode_readings, encode_readings_compressed, PayloadEncoding, RECORD_SIZE,
 };
@@ -72,9 +71,8 @@ pub type RawPublishCallback = Arc<dyn Fn(&str, &Bytes) + Send + Sync>;
 pub enum MqttBackend {
     /// A real MQTT connection.
     Tcp(Arc<Client>),
-    /// The in-process bus used by the simulation harness.
-    Inproc(Arc<InprocBus>),
-    /// A raw callback `(topic, payload)` for tests.
+    /// A raw callback `(topic, payload)`: in-process delivery for the
+    /// simulation harness and tests.
     Callback(RawPublishCallback),
     /// Discard (pure overhead experiments).
     Null,
@@ -102,7 +100,6 @@ pub struct MqttOut {
     backend: MqttBackend,
     policy: SendPolicy,
     compression: Compression,
-    qos: QoS,
     queue: Mutex<HashMap<String, Vec<(i64, f64)>>>,
     next_flush_ns: Mutex<i64>,
     /// Frames for a `Tcp` backend, not yet written, and the buffer each
@@ -127,7 +124,6 @@ impl MqttOut {
             backend,
             policy,
             compression,
-            qos: QoS::AtMostOnce,
             queue: Mutex::new(HashMap::new()),
             next_flush_ns: Mutex::new(0),
             stage: Mutex::default(),
@@ -222,10 +218,8 @@ impl MqttOut {
                     PayloadEncoding::Compressed => encode_readings_compressed(readings),
                     PayloadEncoding::Fixed => encode_readings(readings),
                 };
-                match backend {
-                    MqttBackend::Inproc(bus) => bus.publish(topic, &payload, self.qos),
-                    MqttBackend::Callback(cb) => cb(topic, &payload),
-                    MqttBackend::Tcp(_) | MqttBackend::Null => {}
+                if let MqttBackend::Callback(cb) = backend {
+                    cb(topic, &payload);
                 }
                 payload.len()
             }

@@ -49,8 +49,9 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Wrap a cluster with a worker-thread cap for parallel evaluation:
     /// `1` keeps every query on the calling thread, `0` means "all
-    /// available cores".  Results are bit-identical for every value (see
-    /// [`FANIN_CHUNK`]).
+    /// available cores", resolved here once.  Results are bit-identical for
+    /// every value (see [`FANIN_CHUNK`]); `dcdb_core::SensorDb` builds its
+    /// one engine with `0`.
     pub fn new(cluster: Arc<StoreCluster>, threads: usize) -> QueryEngine {
         let threads = if threads == 0 { exec::default_parallelism() } else { threads };
         QueryEngine { cluster, threads }

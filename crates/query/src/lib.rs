@@ -23,7 +23,9 @@
 //!   sensor-tree fan-in never concatenates series).
 //! * [`engine`] — [`QueryEngine`]: the façade over a
 //!   [`dcdb_store::StoreCluster`] that routes to the owning node, captures
-//!   pushdown snapshots and runs windowed aggregates.  Its one entry,
+//!   pushdown snapshots and runs windowed aggregates.  libDCDB's
+//!   `SensorDb` builds one per handle, on all cores, when the handle is
+//!   made.  Its one entry,
 //!   [`QueryEngine::aggregate`], takes [`SensorGroup`]s: one group of one
 //!   sensor, one group for a whole SID sub-tree, or many sub-trees at once
 //!   (group-by with one result series per sub-tree), optionally traced.
@@ -32,7 +34,8 @@
 //!   queries *and* one fat fan-in (a 32-sensor rack, an ungrouped sub-tree)
 //!   use every core (one worker per core, atomic work-stealing cursor),
 //!   with results in deterministic input order, bit-identical to serial
-//!   evaluation for every thread count.
+//!   evaluation for every thread count (the engine's thread parameter
+//!   exists so the proptests can pin 1 against N).
 //!
 //! ## Pushdown contract
 //!

@@ -150,7 +150,10 @@ proptest! {
     #[test]
     fn query_subrange_is_filter_of_full(inserts in prop::collection::vec(
         (0i64..1000, -1e3f64..1e3), 1..200), start in 0i64..1000, len in 0i64..1000) {
-        let node = StoreNode::default();
+        // a small memtable flushes every 16 inserts, so sub-ranges cross
+        // SSTable runs (and compactions) as well as the memtable
+        let node =
+            StoreNode::new(NodeConfig { memtable_flush_entries: 16, ..Default::default() });
         for &(ts, v) in &inserts {
             node.insert(sid(0), ts, v);
         }

@@ -4,7 +4,7 @@
 //! ```text
 //! dcdbcollectagent [--mqtt 127.0.0.1:1883] [--rest 127.0.0.1:8080]
 //!                  [--duration SECONDS] [--db <dir>] [--nodes N] [--depth D]
-//!                  [--cache-mb MB] [--query-threads N]
+//!                  [--cache-mb MB]
 //!                  [--maintenance-threads N] [--flush-interval-s S]
 //!                  [--self-metrics-s S] [--node-name NAME]
 //!                  [--alert-rules FILE] [--alert-tick-s S] [--slow-log DUR]
@@ -14,9 +14,9 @@
 //! partitioning at hierarchy depth `D`; `--db` persists *every* node's runs
 //! under `<dir>/node<N>/` so a later `dcdbquery --db` sees the full cluster.
 //! `--cache-mb` gives the cluster a shared decoded-block cache (served
-//! `/aggregate` panels skip re-decoding hot blocks; 0 = off) and
-//! `--query-threads` caps the REST query path's worker threads (0 = all
-//! cores).
+//! `/aggregate` panels skip re-decoding hot blocks; 0 = off).  The agent
+//! holds one libDCDB handle: the REST API, the alert ticker and the
+//! self-monitor query through it, and its windowed queries use every core.
 //!
 //! `--maintenance-threads N` runs flush/compaction on `N` background
 //! workers shared by the whole cluster (default 1), so sustained MQTT
@@ -68,9 +68,6 @@ fn main() {
     let node_cfg = dcdb_tools::node_config_from_args(&args);
     let store = Arc::new(StoreCluster::new(node_cfg, PartitionMap::prefix(nodes, depth), 1));
     let agent = CollectAgent::new(store);
-    if let Some(threads) = args.get("query-threads").and_then(|s| s.parse().ok()) {
-        agent.set_query_threads(threads);
-    }
     let mut alert_rule_count = 0;
     let _alert_ticker = if let Some(path) = args.get("alert-rules") {
         let text = match std::fs::read_to_string(path) {
@@ -89,7 +86,7 @@ fn main() {
         };
         alert_rule_count = rules.len();
         let engine = Arc::new(dcdb_core::alerts::AlertEngine::with_rules(rules));
-        agent.install_alert_engine(engine);
+        agent.sensor_db().set_alert_engine(engine);
         let tick_s: u64 = args.get("alert-tick-s").and_then(|s| s.parse().ok()).unwrap_or(10);
         Some(agent.start_alert_ticker(Duration::from_secs(tick_s.max(1))))
     } else {

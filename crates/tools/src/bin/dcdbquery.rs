@@ -3,7 +3,7 @@
 //! ```text
 //! dcdbquery --db <dir> [--start NS] [--end NS] [--op integral|derivative|stats]
 //!           [--agg FN --window DUR [--group-by N]] [--sizes]
-//!           [--cache-mb MB] [--query-threads N] [--slow-log DUR]
+//!           [--cache-mb MB] [--slow-log DUR]
 //!           [--maintenance-threads N] [--flush-interval-s S] <topic-or-prefix>...
 //! ```
 //!
@@ -19,8 +19,8 @@
 //!
 //! `--cache-mb MB` gives the read path a decoded-block cache of `MB`
 //! megabytes (repeated panels over the same hot blocks skip the Gorilla
-//! decode; 0 = off, the default) and `--query-threads N` caps the worker
-//! threads parallel fan-in and group-by may use (0 = all cores).
+//! decode; 0 = off, the default).  Parallel fan-in and group-by use every
+//! core; results are bit-identical to serial evaluation.
 //!
 //! `--sizes` reports the database's stored (compressed) versus raw
 //! fixed-width byte footprint — plus a block-cache capacity/usage line
@@ -72,8 +72,7 @@ fn main() {
         eprintln!(
             "usage: dcdbquery --db <dir> [--start NS] [--end NS] [--op OP] \
              [--agg FN --window DUR] [--sizes] [--explain] [--cache-mb MB] \
-             [--query-threads N] [--maintenance-threads N] \
-             [--flush-interval-s S] <topic>..."
+             [--maintenance-threads N] [--flush-interval-s S] <topic>..."
         );
         std::process::exit(2);
     };
@@ -106,9 +105,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Some(threads) = args.get("query-threads").and_then(|s| s.parse().ok()) {
-        db.set_query_threads(threads);
-    }
     if let Some(spec) = args.get("slow-log") {
         match dcdb_query::parse_duration_ns(spec).filter(|&t| t > 0) {
             Some(t) => db.slow_queries().set_threshold_ns(t as u64),

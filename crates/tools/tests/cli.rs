@@ -135,15 +135,13 @@ fn cache_and_thread_knobs_accepted() {
     assert!(status.success());
 
     // --cache-mb surfaces a block-cache line in the sizes report and the
-    // query answers are unchanged; --query-threads pins the pool
+    // query answers are unchanged
     let out = Command::new(env!("CARGO_BIN_EXE_dcdbquery"))
         .args([
             "--db",
             db.to_str().unwrap(),
             "--cache-mb",
             "16",
-            "--query-threads",
-            "2",
             "--sizes",
             "--agg",
             "avg",

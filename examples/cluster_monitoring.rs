@@ -17,8 +17,7 @@
 use std::sync::Arc;
 
 use dcdb::collectagent::CollectAgent;
-use dcdb::mqtt::inproc::InprocBus;
-use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
+use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, RawPublishCallback, SendPolicy};
 use dcdb::pusher::plugins::{IpmiPlugin, PerfeventsPlugin, ProcFsPlugin, SysFsPlugin};
 use dcdb::pusher::scheduler::{Pusher, PusherConfig};
 use dcdb::sid::PartitionMap;
@@ -33,8 +32,10 @@ fn main() {
     // Storage: 4 servers, sub-trees pinned by the node level of the hierarchy.
     let store = Arc::new(StoreCluster::new(NodeConfig::default(), PartitionMap::prefix(4, 4), 1));
     let agent = CollectAgent::new(store);
-    let bus = InprocBus::new();
-    agent.attach_inproc(&bus);
+    // every Pusher publishes in process, straight into the agent
+    let to_agent = Arc::clone(&agent);
+    let publish: RawPublishCallback =
+        Arc::new(move |topic, payload| to_agent.handle_publish(topic, payload));
 
     // Compute nodes with in-band Pushers.
     let mut nodes: Vec<SimNode> = (0..8)
@@ -56,7 +57,7 @@ fn main() {
                     prefix: format!("/lrz/coolmuc3/rack0/{}", n.hostname),
                     ..Default::default()
                 },
-                MqttOut::new(MqttBackend::Inproc(Arc::clone(&bus)), SendPolicy::Continuous),
+                MqttOut::new(MqttBackend::Callback(Arc::clone(&publish)), SendPolicy::Continuous),
             );
             p.add_plugin(Box::new(PerfeventsPlugin::standard(Arc::clone(&n.perf), 1000)));
             p.add_plugin(Box::new(ProcFsPlugin::standard(
@@ -72,7 +73,7 @@ fn main() {
     let mgmt = Pusher::new(
         PusherConfig { prefix: "/lrz/coolmuc3/oob".into(), ..Default::default() },
         MqttOut::new(
-            MqttBackend::Inproc(Arc::clone(&bus)),
+            MqttBackend::Callback(Arc::clone(&publish)),
             // bursts twice per minute, the paper's network-friendly setting
             SendPolicy::Burst { interval_ns: 30 * NS_PER_SEC },
         ),

@@ -21,8 +21,7 @@ fn main() {
 /// Drive the same pipeline the fig9 harness uses, at coarse resolution.
 fn dcdb_bench_like() -> String {
     use dcdb::collectagent::CollectAgent;
-    use dcdb::core::{SensorDb, SensorMeta, Unit};
-    use dcdb::mqtt::inproc::InprocBus;
+    use dcdb::core::{SensorMeta, Unit};
     use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
     use dcdb::pusher::plugins::{RestPlugin, SnmpPlugin};
     use dcdb::pusher::scheduler::{Pusher, PusherConfig};
@@ -43,13 +42,15 @@ fn dcdb_bench_like() -> String {
     rest.set("heat_removed_kw", 0.0);
     rest.set("inlet_temp_c", 0.0);
 
-    let bus = InprocBus::new();
     let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
-    agent.attach_inproc(&bus);
+    let to_agent = Arc::clone(&agent);
+    let transport = MqttBackend::Callback(Arc::new(move |topic, payload| {
+        to_agent.handle_publish(topic, payload)
+    }));
 
     let pusher = Pusher::new(
         PusherConfig { prefix: "/lrz/coolmuc3".into(), ..Default::default() },
-        MqttOut::new(MqttBackend::Inproc(Arc::clone(&bus)), SendPolicy::Continuous),
+        MqttOut::new(transport, SendPolicy::Continuous),
     );
     let mut sp = SnmpPlugin::new();
     sp.add_walk("pdu", Arc::clone(&snmp), "1.3.6.1.4.1.318", (step_s * 1000.0) as u64);
@@ -68,7 +69,7 @@ fn dcdb_bench_like() -> String {
         pusher.sample_due((t_s * 1e9) as i64);
     }
 
-    let db = SensorDb::new(Arc::clone(agent.store()), Arc::clone(agent.registry()));
+    let db = agent.sensor_db();
     let power_topic = format!("/lrz/coolmuc3/pdu/snmp/{}", POWER_OID.replace('.', "_"));
     let heat_topic = "/lrz/coolmuc3/cooling/heat_removed_kw";
     db.set_meta(&power_topic, SensorMeta::with_unit(Unit::KILOWATT));

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcdb::collectagent::CollectAgent;
-use dcdb::core::{SensorDb, Unit};
+use dcdb::core::Unit;
 use dcdb::mqtt::broker::BrokerConfig;
 use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
 use dcdb::pusher::plugins::TesterPlugin;
@@ -49,7 +49,7 @@ fn main() {
     std::thread::sleep(Duration::from_millis(300)); // let the broker drain
 
     // 4. Query back through libDCDB.
-    let db = SensorDb::new(Arc::clone(agent.store()), Arc::clone(agent.registry()));
+    let db = agent.sensor_db();
     let series = db.query("/demo/node0/tester/t0", TimeRange::all()).expect("query");
     println!("sensor t0 has {} stored readings:", series.readings.len());
     for r in &series.readings {

@@ -18,7 +18,6 @@ use dcdb::collectagent::analytics::{
     AnalyticsPipeline, MovingAverage, RateOfChange, Threshold, ZScoreAnomaly,
 };
 use dcdb::collectagent::CollectAgent;
-use dcdb::mqtt::inproc::InprocBus;
 use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
 use dcdb::pusher::plugins::GpuPlugin;
 use dcdb::pusher::scheduler::{Pusher, PusherConfig};
@@ -27,11 +26,13 @@ use dcdb::store::reading::TimeRange;
 use dcdb::store::StoreCluster;
 
 fn main() {
-    // Pipeline: Pusher (GPU plugin) → inproc MQTT → Collect Agent → store,
-    // with the analytics layer observing live readings.
+    // Pipeline: Pusher (GPU plugin) → in-process MQTT output → Collect
+    // Agent → store, with the analytics layer observing live readings.
     let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
-    let bus = InprocBus::new();
-    agent.attach_inproc(&bus);
+    let to_agent = Arc::clone(&agent);
+    let transport = MqttBackend::Callback(Arc::new(move |topic, payload| {
+        to_agent.handle_publish(topic, payload)
+    }));
 
     let analytics = AnalyticsPipeline::attach(&agent);
     analytics.add_operator("/gpunode/gpu0/power", Arc::new(MovingAverage::new(10)));
@@ -42,7 +43,7 @@ fn main() {
     let gpu = Arc::new(GpuDevice::new());
     let pusher = Pusher::new(
         PusherConfig { prefix: "/gpunode".into(), ..Default::default() },
-        MqttOut::new(MqttBackend::Inproc(Arc::clone(&bus)), SendPolicy::Continuous),
+        MqttOut::new(transport, SendPolicy::Continuous),
     );
     pusher.add_plugin(Box::new(GpuPlugin::new(vec![Arc::clone(&gpu)], 1000)));
 

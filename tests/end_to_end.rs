@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcdb::collectagent::CollectAgent;
-use dcdb::core::{SensorDb, SensorMeta, Unit};
+use dcdb::core::{SensorMeta, Unit};
 use dcdb::http::client;
 use dcdb::http::json::Json;
 use dcdb::mqtt::broker::BrokerConfig;
@@ -64,7 +64,7 @@ fn tcp_pipeline_from_sim_node_to_query() {
     );
 
     // Query back through libDCDB.
-    let db = SensorDb::new(Arc::clone(agent.store()), Arc::clone(agent.registry()));
+    let db = agent.sensor_db();
     let series = db.query("/e2e/knl-e2e/cpu0/instructions", TimeRange::all()).expect("query");
     // delta sensors: first reading swallowed
     assert_eq!(series.readings.len(), 9);
@@ -213,7 +213,7 @@ fn burst_policy_batches_on_the_wire() {
     let messages = agent.stats().messages.load(std::sync::atomic::Ordering::Relaxed);
     assert!(messages <= 5 * 4, "bursting sent {messages} messages for {readings} readings");
     // data integrity after batching
-    let db = SensorDb::new(Arc::clone(agent.store()), Arc::clone(agent.registry()));
+    let db = agent.sensor_db();
     let s = db.query("/burst/node/tester/t0", TimeRange::all()).unwrap();
     assert_eq!(s.readings.len(), 61);
 }
