@@ -40,11 +40,6 @@ pub struct CollectAgentStats {
     pub fixed_width_bytes: AtomicU64,
 }
 
-/// Observer callback invoked for every stored reading: `(topic, ts, value)`.
-/// This is the hook the streaming-analytics layer attaches to
-/// (see [`crate::analytics`]).
-pub type ReadingObserver = Arc<dyn Fn(&str, i64, f64) + Send + Sync>;
-
 /// A topic as published: its SID, resolved on the first decoded publish, and
 /// (the encoding negotiated by its last decoded publish, its last reading).
 struct TopicSlot {
@@ -63,7 +58,6 @@ pub struct CollectAgent {
     stats: Arc<CollectAgentStats>,
     /// Every topic seen, keyed as published.
     slots: RwLock<std::collections::HashMap<Box<str>, Arc<TopicSlot>>>,
-    observers: RwLock<Vec<ReadingObserver>>,
     /// Per-message handler latency (the distribution behind `busy_ns`).
     handle_ns: Arc<Histogram>,
     /// Shared timing toggle from the cluster registry.
@@ -93,7 +87,6 @@ impl CollectAgent {
             db: SensorDb::new(store, registry),
             stats,
             slots: RwLock::new(std::collections::HashMap::new()),
-            observers: RwLock::new(Vec::new()),
             handle_ns,
             timing,
         })
@@ -141,7 +134,9 @@ impl CollectAgent {
         SelfMonitor { stop: Some(stop), handle: Some(handle) }
     }
 
-    /// Handle one publish: payload → readings, topic → slot, write to store.
+    /// Handle one publish: payload → readings, topic → slot, write to
+    /// store, evaluate the alert rules.  This is the agent's one ingest
+    /// path.
     pub fn handle_publish(&self, topic: &str, payload: &[u8]) {
         let start = Instant::now();
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
@@ -175,12 +170,6 @@ impl CollectAgent {
             *slot.latest.lock() = (encoding, Some(last));
             // batched: filter match + instance lookup once per publish
             self.db.observe_alerts(topic, &readings);
-            let observers = self.observers.read();
-            for r in readings.iter().filter(|_| !observers.is_empty()) {
-                for obs in observers.iter() {
-                    obs(topic, r.ts, r.value);
-                }
-            }
             Some(readings.len())
         })();
         readings.clear();
@@ -197,12 +186,6 @@ impl CollectAgent {
         if self.timing.load(Ordering::Relaxed) {
             self.handle_ns.observe(elapsed);
         }
-    }
-
-    /// Register an observer called for every stored reading (live data
-    /// access for on-the-fly analysis or online tuning, paper §3.1).
-    pub fn add_observer(&self, observer: ReadingObserver) {
-        self.observers.write().push(observer);
     }
 
     /// The topic ↔ SID registry (shared with query tooling).
@@ -565,7 +548,7 @@ mod tests {
         let engine = Arc::new(AlertEngine::new());
         engine.add_rule(AlertRule::new("hot", "/sys/+/power", AlertCondition::Above(300.0)));
         a.sensor_db().set_alert_engine(Arc::clone(&engine));
-        // live readings drive the state machine through the observer hook
+        // live readings drive the state machine from handle_publish
         a.handle_publish("/sys/node0/power", &encode_readings(&[(1_000, 250.0)]));
         assert_eq!(engine.alerts()[0].state, AlertState::Inactive);
         a.handle_publish("/sys/node0/power", &encode_readings(&[(2_000, 350.0)]));

@@ -10,7 +10,6 @@
 //! them every sensor protocol (paper §5.3).
 
 pub mod agent;
-pub mod analytics;
 pub mod pull;
 pub mod rest;
 

@@ -2,12 +2,11 @@
 //! a full `inactive → pending → firing → resolved` state machine.
 //!
 //! The paper's future-work section (§9) asks for streaming anomaly
-//! detection in continuous operation; the analytics operators
-//! (`dcdb-collectagent`) detect, but nothing *remembers*.  This module
-//! closes the loop: an [`AlertEngine`] holds [`AlertRule`]s — threshold
-//! above/below, rate-of-change, z-score anomaly, and absence/staleness
-//! detection for sensors that stop reporting — and tracks one
-//! [`StateMachine`] per `(rule, topic)` instance:
+//! detection in continuous operation.  This module is the one place live
+//! readings are checked: an [`AlertEngine`] holds [`AlertRule`]s —
+//! threshold above/below, rate-of-change, z-score anomaly, and
+//! absence/staleness detection for sensors that stop reporting — and
+//! tracks one [`StateMachine`] per `(rule, topic)` instance:
 //!
 //! ```text
 //!              condition true                for-duration held
@@ -26,8 +25,9 @@
 //! * Re-notification throttling: a firing alert re-notifies at most once
 //!   per `renotify` interval.
 //! * Rules evaluate on the **live ingest stream**
-//!   ([`AlertEngine::observe`], wired to the Collect Agent's reading
-//!   observer hook) and **periodically** ([`AlertEngine::tick`]) — the
+//!   ([`AlertEngine::observe_batch`], fed once per publish by the Collect
+//!   Agent's ingest path through [`SensorDb::observe_alerts`]) and
+//!   **periodically** ([`AlertEngine::tick`]) — the
 //!   tick drives staleness checks and query-based rules, which evaluate a
 //!   windowed aggregate through [`SensorDb::execute`] (one rule over "avg
 //!   rack power over the last minute" instead of every raw reading).
@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dcdb_mqtt::topic::filter_matches;
+use dcdb_mqtt::topic::{filter_matches, is_valid_filter};
 use dcdb_obs::{EventJournal, EventKind, Severity};
 use dcdb_query::{AggFn, Moments};
 use dcdb_store::reading::{Reading, TimeRange};
@@ -189,13 +189,11 @@ pub enum AlertCondition {
     /// Value strictly below the bound.
     Below(f64),
     /// Per-second rate of change strictly above the bound (computed from
-    /// consecutive evaluations, like the analytics `RateOfChange`
-    /// operator).
+    /// consecutive evaluations).
     RateAbove(f64),
     /// Value more than `sigmas` standard deviations from the running mean
     /// (Welford accumulation via [`Moments`], the same statistics the
-    /// analytics `ZScoreAnomaly` operator and the query engine use), once
-    /// `min_samples` observations accumulated.
+    /// query engine uses), once `min_samples` observations accumulated.
     ZScore {
         /// Standard deviations from the running mean.
         sigmas: f64,
@@ -779,8 +777,7 @@ fn evaluate_stream(cond: &AlertCondition, inst: &mut Instance, ts: i64, value: f
                     active = dev * dev > sigmas * sigmas * var;
                 }
             }
-            // anomalous samples are folded in too: the detector adapts,
-            // matching the analytics ZScoreAnomaly operator
+            // anomalous samples are folded in too: the detector adapts
             inst.moments.push(value);
             active
         }
@@ -875,6 +872,12 @@ fn finish_rule(rule: AlertRule, rules: &mut Vec<AlertRule>) -> Result<(), String
     let name = &rule.name;
     if rule.filter.is_empty() {
         return Err(format!("rule {name}: missing filter"));
+    }
+    if !is_valid_filter(&rule.filter) {
+        return Err(format!(
+            "rule {name}: malformed filter {:?} (`+` and `#` fill a whole level, `#` only the last)",
+            rule.filter
+        ));
     }
     if rule.condition == AlertCondition::Above(f64::INFINITY) {
         return Err(format!("rule {name}: missing condition"));
@@ -1001,6 +1004,21 @@ mod tests {
                                                // unmatched topics never create instances
         engine.observe("/other/temp", 0, 1_000.0);
         assert_eq!(engine.alerts().len(), 1);
+    }
+
+    #[test]
+    fn wildcard_filters_scope_stream_rules() {
+        let engine = AlertEngine::new();
+        engine.add_rule(AlertRule::new("hot", "/a/+/power", AlertCondition::Above(1.0)));
+        // `+` is exactly one level: a sibling sensor and a deeper topic
+        // with the same leaf both stay out of the rule
+        for topic in ["/a/x/power", "/a/x/temp", "/a/x/y/power"] {
+            engine.observe(topic, 0, 2.0);
+        }
+        let alerts = engine.alerts();
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].topic, "/a/x/power");
+        assert_eq!(alerts[0].state, AlertState::Firing);
     }
 
     #[test]
@@ -1137,6 +1155,13 @@ query = avg 60s
         // wildcard filters cannot be queried
         let text = "[r]\nfilter = /sys/#\ncondition = above 1\nquery = avg 10s";
         assert!(parse_rules(text).unwrap_err().contains("plain topic"));
+        // a wildcard that does not fill a whole level, or a `#` before the
+        // last level, would never match what the rule's author meant
+        for filter in ["/a/#/b", "/a/b+", "/a/b#", "/a//b"] {
+            let text = format!("[bad]\nfilter = {filter}\ncondition = above 1");
+            let err = parse_rules(&text).unwrap_err();
+            assert!(err.contains("rule bad: malformed filter"), "{filter}: {err}");
+        }
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl SensorDb {
     }
 
     /// Execute a typed [`QueryRequest`] — **the** query path every surface
-    /// (Grafana, REST, CLI, analytics) goes through.
+    /// (Grafana, REST, CLI, query-based alert rules) goes through.
     ///
     /// * Without an aggregation the response holds raw series, one per
     ///   resolved sensor (metadata scales applied).

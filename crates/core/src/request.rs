@@ -2,8 +2,8 @@
 //!
 //! The paper's pitch is *one query surface over the whole sensor tree*
 //! (§3.2, §4.3); this module is that surface.  Every consumer — the Grafana
-//! data source, the Collect Agent's REST API, `dcdbquery`, the analytics
-//! operators — builds a [`QueryRequest`] and hands it to
+//! data source, the Collect Agent's REST API, `dcdbquery`, query-based
+//! alert rules — builds a [`QueryRequest`] and hands it to
 //! [`SensorDb::execute`](crate::SensorDb::execute).  The text surfaces (URL
 //! query strings, CLI flags) all parse through
 //! [`QueryRequest::from_params`], which owns the accepted spellings.

@@ -2,10 +2,9 @@
 //!
 //! This is the Pusher side of the transport: QoS 0/1 publishing, keep-alive
 //! pings and automatic reconnection, mirroring the role the Mosquitto
-//! library plays in the C++ implementation (paper §4.1).  PUBACKs and
-//! incoming publishes (when the client subscribes) are read by a background
-//! reader thread, blocked in `read` on its [`PacketReader`] and stopped by
-//! shutting the socket down; incoming publishes go to a user callback.
+//! library plays in the C++ implementation (paper §4.1).  PUBACKs are read
+//! by a background reader thread, blocked in `read` on its [`PacketReader`]
+//! and stopped by shutting the socket down.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -13,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 use crate::codec::{
@@ -84,9 +83,6 @@ impl From<std::io::Error> for ClientError {
         ClientError::Io(e)
     }
 }
-
-/// Callback for received publishes: `(topic, payload)`.
-pub type MessageCallback = Arc<dyn Fn(&str, &Bytes) + Send + Sync>;
 
 /// Counters for the evaluation harness.
 #[derive(Debug, Default)]
@@ -218,7 +214,6 @@ pub struct Client {
     frame: Mutex<FrameBatch>,
     next_pid: AtomicU16,
     acks: Arc<PendingAcks>,
-    on_message: Arc<Mutex<Option<MessageCallback>>>,
     stats: ClientStats,
     closed: AtomicBool,
 }
@@ -235,17 +230,11 @@ impl Client {
             frame: Mutex::default(),
             next_pid: AtomicU16::new(1),
             acks: Arc::default(),
-            on_message: Arc::new(Mutex::new(None)),
             stats: ClientStats::default(),
             closed: AtomicBool::new(false),
         });
         client.reconnect_locked(&mut client.conn.lock())?;
         Ok(client)
-    }
-
-    /// Register a callback for publishes delivered to this client.
-    pub fn on_message(&self, cb: MessageCallback) {
-        *self.on_message.lock() = Some(cb);
     }
 
     /// Client statistics.
@@ -318,21 +307,12 @@ impl Client {
 
     fn spawn_reader(&self, mut stream: TcpStream, mut packets: PacketReader) {
         let acks = Arc::clone(&self.acks);
-        // The callback is looked up per message so it can be registered or
-        // swapped after the connection is already up.
-        let cb_slot = Arc::clone(&self.on_message);
         std::thread::Builder::new()
             .name("mqtt-client-reader".into())
             .spawn(move || {
                 while let Ok(Some(pkt)) = packets.next(&mut stream) {
-                    match pkt {
-                        Packet::Puback { pid } => acks.deliver(pid),
-                        Packet::Publish { topic, payload, .. } => {
-                            if let Some(cb) = cb_slot.lock().as_ref() {
-                                cb(&topic, &payload);
-                            }
-                        }
-                        _ => {}
+                    if let Packet::Puback { pid } = pkt {
+                        acks.deliver(pid);
                     }
                 }
                 // end of stream, a socket error, or bytes that do not
@@ -435,15 +415,6 @@ impl Client {
         }
     }
 
-    /// Subscribe to `filters` (requires a broker with subscriptions enabled).
-    pub fn subscribe(&self, filters: &[(&str, QoS)]) -> Result<(), ClientError> {
-        let pid = self.next_pid.fetch_add(1, Ordering::Relaxed).max(1);
-        self.send_packet(&Packet::Subscribe {
-            pid,
-            filters: filters.iter().map(|(f, q)| (f.to_string(), *q)).collect(),
-        })
-    }
-
     /// Send a keep-alive ping.
     pub fn ping(&self) -> Result<(), ClientError> {
         self.send_packet(&Packet::Pingreq)
@@ -471,6 +442,7 @@ impl Drop for Client {
 mod tests {
     use super::*;
     use crate::codec::decode_packet;
+    use bytes::Bytes;
 
     #[test]
     fn pending_acks_are_matched_by_pid_not_arrival_order() {

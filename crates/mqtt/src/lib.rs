@@ -8,12 +8,11 @@
 //! * [`codec`] — wire format for all fourteen 3.1.1 control packets,
 //! * [`topic`] — topic filters with `+`/`#` wildcard matching,
 //! * [`broker`] — a TCP broker, one blocking thread per connection.  Like
-//!   DCDB's Collect Agent it is *publish-only by default*: subscriptions
-//!   can be disabled entirely so no topic-filtering overhead is paid
-//!   (paper §4.2), with an in-process sink callback receiving every
-//!   publish instead,
-//! * [`client`] — a blocking client with QoS 0/1 publish, keep-alive and
-//!   automatic reconnect.
+//!   DCDB's Collect Agent it is *publish-only*: it refuses every
+//!   subscription, so no topic-filtering cost is paid (paper §4.2), and an
+//!   in-process sink callback receives every publish instead,
+//! * [`client`] — a blocking publishing client with QoS 0/1 publish,
+//!   keep-alive and automatic reconnect.
 
 pub mod broker;
 pub mod client;

@@ -1,11 +1,11 @@
 //! MQTT topic filters and wildcard matching.
 //!
 //! Filters may contain `+` (matches exactly one level) and a trailing `#`
-//! (matches any number of remaining levels, including zero).  DCDB's Storage
-//! Backend subscriber uses the catch-all `#` filter; the rules here follow
+//! (matches any number of remaining levels, including zero).  Alert rules
+//! select the topics they watch with these filters; the rules here follow
 //! MQTT 3.1.1 §4.7.
 
-/// Validate a subscription filter.
+/// Validate a topic filter.
 ///
 /// `+` must occupy a whole level; `#` must occupy a whole level *and* be
 /// last.  Empty filters are invalid; empty levels (`a//b`) are allowed by the

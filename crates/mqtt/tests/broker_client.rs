@@ -1,27 +1,30 @@
 //! End-to-end tests: real TCP broker + client.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
-use dcdb_mqtt::{Broker, BrokerConfig, Client, ClientConfig, QoS};
+use bytes::{Bytes, BytesMut};
+use dcdb_mqtt::{
+    encode_packet, Broker, BrokerConfig, Client, ClientConfig, ConnectReturnCode, Packet,
+    PacketReader, QoS,
+};
 
-fn start_broker(allow_subscribe: bool) -> (Broker, Arc<AtomicUsize>) {
+fn start_broker() -> (Broker, Arc<AtomicUsize>) {
     let received = Arc::new(AtomicUsize::new(0));
     let r2 = Arc::clone(&received);
     let sink: dcdb_mqtt::PublishSink = Arc::new(move |_t, _p, _q| {
         r2.fetch_add(1, Ordering::Relaxed);
     });
-    let broker =
-        Broker::start(BrokerConfig { allow_subscribe, ..BrokerConfig::default() }, Some(sink))
-            .expect("broker start");
+    let broker = Broker::start(BrokerConfig::default(), Some(sink)).expect("broker start");
     (broker, received)
 }
 
 #[test]
 fn qos0_publish_reaches_sink() {
-    let (broker, received) = start_broker(false);
+    let (broker, received) = start_broker();
     let client =
         Client::connect(ClientConfig::new(broker.local_addr(), "test-0")).expect("connect");
     for i in 0..50 {
@@ -39,7 +42,7 @@ fn qos0_publish_reaches_sink() {
 
 #[test]
 fn qos1_publish_is_acked() {
-    let (broker, received) = start_broker(false);
+    let (broker, received) = start_broker();
     let client =
         Client::connect(ClientConfig::new(broker.local_addr(), "test-1")).expect("connect");
     for i in 0..20 {
@@ -55,7 +58,7 @@ fn concurrent_qos1_publishers_share_one_client() {
     // every publisher must get its own PUBACK: with acks handed out in
     // arrival order, thread A swallowed the pid thread B waited for and B
     // timed out
-    let (broker, received) = start_broker(false);
+    let (broker, received) = start_broker();
     let mut cfg = ClientConfig::new(broker.local_addr(), "shared-q1");
     cfg.ack_timeout = Duration::from_secs(2);
     let client = Client::connect(cfg).expect("connect");
@@ -77,7 +80,7 @@ fn concurrent_qos1_publishers_share_one_client() {
 
 #[test]
 fn many_concurrent_publishers() {
-    let (broker, received) = start_broker(false);
+    let (broker, received) = start_broker();
     let addr = broker.local_addr();
     let mut handles = Vec::new();
     for p in 0..8 {
@@ -103,57 +106,54 @@ fn many_concurrent_publishers() {
 
 #[test]
 fn publish_only_broker_rejects_subscriptions() {
-    let (broker, _received) = start_broker(false);
-    let client =
-        Client::connect(ClientConfig::new(broker.local_addr(), "sub-reject")).expect("connect");
-    // Subscribe succeeds at the transport level; broker answers 0x80 per filter.
-    client.subscribe(&[("/a/#", QoS::AtMostOnce)]).unwrap();
-    // Messages published by another client must not be forwarded.
-    let publisher =
-        Client::connect(ClientConfig::new(broker.local_addr(), "pub")).expect("connect");
-    let got = Arc::new(AtomicUsize::new(0));
-    let g2 = Arc::clone(&got);
-    client.on_message(Arc::new(move |_t, _p| {
-        g2.fetch_add(1, Ordering::Relaxed);
-    }));
-    publisher.publish_qos1("/a/x", b"data").unwrap();
-    std::thread::sleep(Duration::from_millis(200));
-    assert_eq!(got.load(Ordering::Relaxed), 0);
-}
-
-#[test]
-fn subscribe_enabled_broker_forwards() {
-    let (broker, _received) = start_broker(true);
-    let subscriber =
-        Client::connect(ClientConfig::new(broker.local_addr(), "sub")).expect("connect");
-    let got = Arc::new(AtomicUsize::new(0));
-    let payloads = Arc::new(parking_lot::Mutex::new(Vec::<Bytes>::new()));
-    let g2 = Arc::clone(&got);
-    let p2 = Arc::clone(&payloads);
-    subscriber.on_message(Arc::new(move |_t, p| {
-        g2.fetch_add(1, Ordering::Relaxed);
-        p2.lock().push(p.clone());
-    }));
-    subscriber.subscribe(&[("/fwd/#", QoS::AtMostOnce)]).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    let publisher =
-        Client::connect(ClientConfig::new(broker.local_addr(), "pub2")).expect("connect");
-    publisher.publish_qos1("/fwd/a", b"hello").unwrap();
-    publisher.publish_qos1("/other/a", b"nope").unwrap();
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while got.load(Ordering::Relaxed) < 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(got.load(Ordering::Relaxed), 1);
-    assert_eq!(payloads.lock()[0], Bytes::from_static(b"hello"));
-    assert_eq!(broker.stats().forwarded.load(Ordering::Relaxed), 1);
+    let (broker, received) = start_broker();
+    let mut stream = TcpStream::connect(broker.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut packets = PacketReader::default();
+    let mut exchange = |packet: Packet| {
+        let mut out = BytesMut::new();
+        encode_packet(&packet, &mut out).unwrap();
+        stream.write_all(&out).unwrap();
+        packets.next(&mut stream).unwrap().expect("a reply")
+    };
+    let connect = Packet::Connect {
+        client_id: "raw".into(),
+        keep_alive: 60,
+        clean_session: true,
+        will: None,
+        username: None,
+        password: None,
+    };
+    assert_eq!(
+        exchange(connect),
+        Packet::Connack { session_present: false, code: ConnectReturnCode::Accepted }
+    );
+    let filters = vec![("/a/#".to_string(), QoS::AtMostOnce), ("/b/+".into(), QoS::AtLeastOnce)];
+    assert_eq!(
+        exchange(Packet::Subscribe { pid: 7, filters }),
+        Packet::Suback { pid: 7, return_codes: vec![0x80, 0x80] }
+    );
+    assert_eq!(
+        exchange(Packet::Unsubscribe { pid: 8, filters: vec!["/a/#".into()] }),
+        Packet::Unsuback { pid: 8 }
+    );
+    // the refused subscription leaves the connection publishing
+    let publish = Packet::Publish {
+        topic: "/a/x".into(),
+        payload: Bytes::from_static(b"data"),
+        qos: QoS::AtLeastOnce,
+        retain: false,
+        dup: false,
+        pid: Some(9),
+    };
+    assert_eq!(exchange(publish), Packet::Puback { pid: 9 });
+    assert_eq!(received.load(Ordering::Relaxed), 1, "the sink ran before the PUBACK");
+    assert_eq!(broker.stats().publishes.load(Ordering::Relaxed), 1);
 }
 
 #[test]
 fn ping_keeps_connection() {
-    let (broker, _r) = start_broker(false);
+    let (broker, _r) = start_broker();
     let client =
         Client::connect(ClientConfig::new(broker.local_addr(), "pinger")).expect("connect");
     for _ in 0..3 {

@@ -67,10 +67,33 @@ impl TopicRegistry {
 
     /// [`resolve`](Self::resolve) without the reserved-hierarchy check —
     /// the entry point for the framework's *own* publishes (self-monitor
-    /// folds, `topics.list` reloads that may legitimately contain `_dcdb/`
-    /// sensors persisted by a previous run).
+    /// folds under `_dcdb/`).
     pub fn resolve_internal(&self, topic: &str) -> Result<SensorId, SidError> {
         self.resolve_normalized(topic::normalize(topic))
+    }
+
+    /// Register `topic` under exactly `sid`, as recorded by an earlier
+    /// run: no hashing and no collision probing, so a reloaded database
+    /// gives every topic the SID its stored data is keyed by, whatever the
+    /// order of the records.  Like [`resolve_internal`](Self::resolve_internal)
+    /// it accepts the reserved hierarchy.
+    ///
+    /// # Errors
+    /// Topic validation failures, and [`SidError::Conflict`] when the topic
+    /// or the SID is already registered.
+    pub fn restore(&self, topic: &str, sid: SensorId) -> Result<(), SidError> {
+        let norm = topic::normalize(topic);
+        topic::is_valid_topic(&norm)?;
+        let mut inner = self.inner.write();
+        if let Some(&other) = inner.by_topic.get(&norm) {
+            return Err(SidError::Conflict(format!("{norm} already has SID {other}")));
+        }
+        if let Some(other) = inner.by_sid.get(&sid) {
+            return Err(SidError::Conflict(format!("SID {sid} already names {other}")));
+        }
+        inner.by_topic.insert(norm.clone(), sid);
+        inner.by_sid.insert(sid, norm);
+        Ok(())
     }
 
     fn resolve_normalized(&self, norm: String) -> Result<SensorId, SidError> {
@@ -227,6 +250,26 @@ mod tests {
         let sid = reg.resolve_internal("/_dcdb/node0/inserts").unwrap();
         assert_eq!(reg.topic_of(sid).as_deref(), Some("/_dcdb/node0/inserts"));
         assert_eq!(reg.get("/_dcdb/node0/inserts"), Some(sid));
+    }
+
+    #[test]
+    fn restore_keeps_recorded_sids_and_rejects_conflicts() {
+        let reg = TopicRegistry::new();
+        let (a, b) = (SensorId(0xa), SensorId(0xb));
+        reg.restore("/x/a", a).unwrap();
+        reg.restore("/_dcdb/n0/m", b).unwrap();
+        assert_eq!(reg.get("/x/a"), Some(a), "recorded verbatim, not hashed");
+        assert_eq!(reg.topic_of(b).as_deref(), Some("/_dcdb/n0/m"));
+        for (topic, sid) in [("x/a", a), ("/x/a", SensorId(0xc)), ("/x/c", a)] {
+            let got = reg.restore(topic, sid);
+            assert!(matches!(got, Err(SidError::Conflict(_))), "{topic} {sid}: {got:?}");
+        }
+        assert!(reg.restore("/x//c", SensorId(0xc)).is_err());
+        assert_eq!(reg.len(), 2);
+        // resolving after a restore probes around the restored SIDs
+        let hashed = SensorId::from_topic("/x/a").unwrap();
+        reg.restore("/y/taken", hashed).unwrap();
+        assert_ne!(reg.resolve("/x/other").unwrap(), hashed);
     }
 
     #[test]

@@ -27,6 +27,9 @@ pub enum SidError {
     /// The topic lives under a hierarchy reserved for the framework's own
     /// self-monitoring sensors (`_dcdb/...`) and cannot be user-published.
     Reserved(String),
+    /// A recorded topic ↔ SID pair contradicts one already registered: the
+    /// topic has another SID, or the SID another topic.
+    Conflict(String),
 }
 
 impl fmt::Display for SidError {
@@ -37,6 +40,7 @@ impl fmt::Display for SidError {
             SidError::Reserved(t) => {
                 write!(f, "topic {t} is under the reserved self-monitoring hierarchy")
             }
+            SidError::Conflict(msg) => write!(f, "conflicting SID record: {msg}"),
         }
     }
 }

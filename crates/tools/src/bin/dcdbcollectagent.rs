@@ -102,10 +102,7 @@ fn main() {
         }
     }
 
-    let broker_cfg = BrokerConfig {
-        bind: mqtt_addr.parse().expect("valid --mqtt address"),
-        ..BrokerConfig::default()
-    };
+    let broker_cfg = BrokerConfig { bind: mqtt_addr.parse().expect("valid --mqtt address") };
     let broker = match agent.start_broker(broker_cfg) {
         Ok(b) => b,
         Err(e) => {
@@ -164,13 +161,7 @@ fn main() {
     }
     if let Some(dir) = args.get("db") {
         let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).expect("create db dir");
-        let mut f = std::fs::File::create(dir.join("topics.list")).expect("topics.list");
-        use std::io::Write;
-        for (topic, _) in agent.registry().sids_under("/") {
-            writeln!(f, "{topic}").expect("write topic");
-        }
-        let runs = dcdb_tools::save_cluster(agent.store(), dir).expect("persist");
+        let runs = dcdb_tools::save_db(&agent.sensor_db(), dir).expect("persist");
         println!(
             "database saved to {} ({runs} runs across {} nodes)",
             dir.display(),

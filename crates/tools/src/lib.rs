@@ -13,7 +13,8 @@
 //!   REST API.
 //!
 //! Tools exchange persistent state through a *database directory* holding
-//! the store's SSTables plus the topic registry (`topics.list`).  Every
+//! the store's SSTables plus the topic registry (`topics.list`, one
+//! `<sid-hex> <topic>` line per sensor).  Every
 //! cluster node persists its runs under `node<N>/`; `cluster.list` records
 //! the node count and partitioning depth so re-opening reconstructs the
 //! same routing.  That is the only layout: runs without a `cluster.list`
@@ -24,7 +25,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use dcdb_core::SensorDb;
-use dcdb_sid::{PartitionMap, TopicRegistry};
+use dcdb_sid::{PartitionMap, SensorId, TopicRegistry};
 use dcdb_store::{NodeConfig, StoreCluster};
 
 /// Partitioning depth of a database created by opening a missing or empty
@@ -130,13 +131,17 @@ pub fn load_cluster_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Ar
 
 /// Open (or create) a database directory.
 ///
-/// Layout: `<dir>/topics.list` (one topic per line, registration order),
+/// Layout: `<dir>/topics.list` (one `<sid-hex> <topic>` line per sensor),
 /// `<dir>/node<N>/*.sst` (per-node runs) and `<dir>/cluster.list` (cluster
-/// shape).
+/// shape).  Every topic gets back exactly the SID it was saved with
+/// ([`TopicRegistry::restore`]), so it reads its own runs whatever hash
+/// collisions its registration order once settled.
 ///
 /// # Errors
-/// Propagates I/O and format failures (see [`load_cluster`]); a missing
-/// directory yields an empty database.
+/// Propagates I/O and format failures (see [`load_cluster`]);
+/// `InvalidData` for a `topics.list` line that does not parse, or whose
+/// topic or SID an earlier line already named.  A missing directory
+/// yields an empty database.
 pub fn open_db(dir: &Path) -> std::io::Result<Arc<SensorDb>> {
     open_db_with(dir, NodeConfig::default())
 }
@@ -151,17 +156,23 @@ pub fn open_db_with(dir: &Path, node_cfg: NodeConfig) -> std::io::Result<Arc<Sen
     let topics_path = dir.join("topics.list");
     if topics_path.exists() {
         let file = std::fs::File::open(&topics_path)?;
-        for line in std::io::BufReader::new(file).lines() {
+        for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
             let line = line?;
-            let t = line.trim();
-            if !t.is_empty() {
-                // resolve_internal: a topics.list written after a
-                // self-monitoring run contains `/_dcdb/...` sensors, which
-                // the user-facing resolve rejects by design
-                registry.resolve_internal(t).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
             }
+            let bad = |msg: String| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("topics.list line {}: {msg}", i + 1),
+                )
+            };
+            let (sid, topic) = line
+                .split_once(' ')
+                .and_then(|(hex, topic)| Some((SensorId::from_hex(hex)?, topic)))
+                .ok_or_else(|| bad(format!("expected `<sid-hex> <topic>`, got {line:?}")))?;
+            registry.restore(topic, sid).map_err(|e| bad(e.to_string()))?;
         }
     }
     let store = load_cluster_with(dir, node_cfg)?;
@@ -192,19 +203,20 @@ pub fn node_config_from_args(args: &Args) -> NodeConfig {
     }
 }
 
-/// Persist the database directory written by [`open_db`]: the topic
-/// registry plus every cluster node's runs.
+/// Persist the database directory read by [`open_db`]: the topic
+/// registry with each topic's SID, plus every cluster node's runs.
+/// Returns the number of SSTable runs written.
 ///
 /// # Errors
 /// Propagates I/O failures.
-pub fn save_db(db: &Arc<SensorDb>, dir: &Path) -> std::io::Result<()> {
+pub fn save_db(db: &Arc<SensorDb>, dir: &Path) -> std::io::Result<usize> {
     std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(dir.join("topics.list"))?;
-    for (topic, _) in db.registry().sids_under("/") {
-        writeln!(f, "{topic}")?;
+    let mut f = std::io::BufWriter::new(std::fs::File::create(dir.join("topics.list"))?);
+    for (topic, sid) in db.registry().sids_under("/") {
+        writeln!(f, "{} {topic}", sid.to_hex())?;
     }
-    save_cluster(db.store(), dir)?;
-    Ok(())
+    f.flush()?;
+    save_cluster(db.store(), dir)
 }
 
 /// On-disk footprint of a database directory versus the fixed-width
@@ -429,6 +441,65 @@ mod tests {
     }
 
     #[test]
+    fn every_topic_reads_its_own_data_after_a_reload() {
+        // 1 500 siblings under one node collide in their 16-bit leaf hash
+        // (birthday bound), so which topic was probed to a new SID depends
+        // on registration order; reverse-sorted is not the order saved
+        let dir = std::env::temp_dir().join(format!("dcdb-tools-sids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut topics: Vec<String> =
+            (0..1_500).map(|i| format!("/hpc0042/rack0/node0/s{i}")).collect();
+        topics.sort();
+        topics.reverse();
+        let value = |t: &str| t.rsplit_once("/s").unwrap().1.parse::<f64>().unwrap();
+        {
+            let db = SensorDb::in_memory();
+            for t in &topics {
+                db.insert(t, 1, value(t)).unwrap();
+            }
+            assert!(db.registry().collisions() > 0, "the test needs colliding topics");
+            save_db(&db, &dir).unwrap();
+        }
+        let db = open_db(&dir).unwrap();
+        let wrong: Vec<&String> = topics
+            .iter()
+            .filter(|t| {
+                let got = db.query(t, TimeRange::all()).unwrap().readings;
+                got.len() != 1 || got[0].value != value(t)
+            })
+            .collect();
+        assert!(wrong.is_empty(), "{} topics read other data: {wrong:?}", wrong.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn contradicting_or_unparsable_topic_records_are_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("dcdb-tools-catalog-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (SensorId(0xa).to_hex(), SensorId(0xb).to_hex());
+        let lines = [
+            format!("{a} /x/a\n{a} /x/b\n"), // one SID, two topics
+            format!("{a} /x/a\n{b} /x/a\n"), // one topic, two SIDs
+            format!("{a} /x/a\n{a} /x/a\n"), // one record twice
+            "/x/a\n".to_string(),            // a bare topic
+            "zz /x/a\n".to_string(),         // not hex
+            format!("{a} /x//a\n"),          // not a topic
+        ];
+        for text in lines {
+            std::fs::write(dir.join("topics.list"), &text).unwrap();
+            match open_db(&dir) {
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{text:?}: {e}"),
+                Ok(_) => panic!("{text:?} opened"),
+            }
+        }
+        std::fs::write(dir.join("topics.list"), format!("{a} /x/a\n\n{b} /x/b\n")).unwrap();
+        let db = open_db(&dir).unwrap();
+        assert_eq!(db.registry().get("/x/b"), Some(SensorId(0xb)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn self_metrics_sensors_survive_a_save_load_cycle() {
         let dir = std::env::temp_dir().join(format!("dcdb-tools-selfm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -524,11 +595,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dcdb-tools-loose-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("topics.list"), "/old/s\n").unwrap();
+        let sid = TopicRegistry::new().resolve("/old/s").unwrap();
+        std::fs::write(dir.join("topics.list"), format!("{} /old/s\n", sid.to_hex())).unwrap();
         // no runs yet: an empty database
         assert_eq!(open_db(&dir).unwrap().store().total_entries(), 0);
         let node = dcdb_store::StoreNode::default();
-        node.insert(TopicRegistry::new().resolve("/old/s").unwrap(), 1, 7.0);
+        node.insert(sid, 1, 7.0);
         node.flush();
         let invalid = |dir: &Path| match open_db(dir) {
             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),

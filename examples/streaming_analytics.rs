@@ -1,9 +1,12 @@
-//! Streaming analytics: the paper's future-work layer (§9) in action.
+//! Streaming analytics on the one ingest path: alert rules check live
+//! readings as they are stored, and derived series are answered when read.
 //!
-//! A GPU-accelerated node is monitored live; the analytics pipeline attached
-//! to the Collect Agent computes moving averages and counter rates on the
-//! fly, guards a power band with a hysteresis threshold (the §1 motivating
-//! use case), and flags anomalies with an online z-score detector.
+//! A GPU-accelerated node is monitored live.  The Collect Agent's alert
+//! engine guards a power band (the paper's §1 motivating use case) and
+//! flags temperature anomalies with an online z-score detector, on every
+//! publish.  Smoothed power and the memory allocation rate are windowed
+//! `avg`/`rate` queries over the stored readings, evaluated when they are
+//! asked for, as the paper's virtual sensors are (§3.2).
 //!
 //! ```text
 //! cargo run --example streaming_analytics
@@ -14,31 +17,41 @@
 
 use std::sync::Arc;
 
-use dcdb::collectagent::analytics::{
-    AnalyticsPipeline, MovingAverage, RateOfChange, Threshold, ZScoreAnomaly,
-};
 use dcdb::collectagent::CollectAgent;
+use dcdb::core::alerts::{AlertCondition, AlertEngine, AlertRule};
+use dcdb::core::QueryRequest;
+use dcdb::obs::EventKind;
 use dcdb::pusher::mqtt_out::{MqttBackend, MqttOut, SendPolicy};
 use dcdb::pusher::plugins::GpuPlugin;
 use dcdb::pusher::scheduler::{Pusher, PusherConfig};
+use dcdb::query::AggFn;
 use dcdb::sim::devices::gpu::GpuDevice;
-use dcdb::store::reading::TimeRange;
+use dcdb::store::reading::{Reading, TimeRange};
 use dcdb::store::StoreCluster;
+
+const S: i64 = 1_000_000_000;
 
 fn main() {
     // Pipeline: Pusher (GPU plugin) → in-process MQTT output → Collect
-    // Agent → store, with the analytics layer observing live readings.
+    // Agent → store + alert rules.
     let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
     let to_agent = Arc::clone(&agent);
     let transport = MqttBackend::Callback(Arc::new(move |topic, payload| {
         to_agent.handle_publish(topic, payload)
     }));
 
-    let analytics = AnalyticsPipeline::attach(&agent);
-    analytics.add_operator("/gpunode/gpu0/power", Arc::new(MovingAverage::new(10)));
-    analytics.add_operator("/gpunode/gpu0/power", Arc::new(Threshold::new(280.0, 200.0)));
-    analytics.add_operator("/gpunode/+/temperature", Arc::new(ZScoreAnomaly::new(5.0, 20)));
-    analytics.add_operator("/gpunode/gpu0/memory_used", Arc::new(RateOfChange::new()));
+    let db = agent.sensor_db();
+    db.set_alert_engine(Arc::new(AlertEngine::with_rules(vec![
+        // above 280 W for 10 s: the `for` hysteresis keeps a flapping
+        // reading from paging
+        AlertRule::new("power_band", "/gpunode/gpu0/power", AlertCondition::Above(280.0))
+            .for_duration(10 * S),
+        AlertRule::new(
+            "temperature_anomaly",
+            "/gpunode/+/temperature",
+            AlertCondition::ZScore { sigmas: 5.0, min_samples: 20 },
+        ),
+    ])));
 
     let gpu = Arc::new(GpuDevice::new());
     let pusher = Pusher::new(
@@ -52,38 +65,44 @@ fn main() {
     for sec in 0..900i64 {
         let intensity = if (300..780).contains(&sec) { 1.0 } else { 0.02 };
         gpu.advance(1.0, intensity);
-        pusher.sample_due(sec * 1_000_000_000);
+        pusher.sample_due(sec * S);
     }
 
-    // What did the analytics layer see?
-    let events = analytics.take_events();
-    println!("\n{} events raised:", events.len());
-    for e in events.iter().take(5) {
-        println!("  t={:>4}s {:<28} {}", e.ts / 1_000_000_000, e.topic, e.message);
+    // What did the alert rules see?  Every transition is in the journal,
+    // stamped with the reading's time.
+    let transitions: Vec<_> =
+        db.events().since(0).into_iter().filter(|e| e.kind == EventKind::AlertTransition).collect();
+    println!("\n{} alert transitions:", transitions.len());
+    for e in transitions.iter().take(5) {
+        println!("  t={:>4}s {:<20} {}", e.ts_unix_ns / S, e.subject, e.message);
     }
     assert!(
-        events.iter().any(|e| e.topic.ends_with("/power") && e.message.contains("exceeded")),
+        transitions.iter().any(|e| e.subject == "power_band"
+            && e.message.contains("firing")
+            && e.ts_unix_ns >= 300 * S),
         "power-band alert expected when the job lands"
     );
 
-    // Derived series are ordinary sensors in the store.
-    let avg_sid = agent.registry().get("/analytics/avg/gpunode/gpu0/power").unwrap();
-    let avg = agent.store().query(avg_sid, TimeRange::all());
-    println!("\nmoving-average power series: {} points", avg.len());
-    let during_job = avg.iter().find(|r| r.ts > 400 * 1_000_000_000).unwrap();
+    // Derived series are windowed queries over the stored readings.
+    let windowed = |topic: &str, agg: AggFn| -> Vec<Reading> {
+        let req =
+            QueryRequest::topic(topic).range(TimeRange::new(0, 900 * S)).aggregate(agg, 10 * S);
+        db.execute(&req).expect("windowed query").into_single().readings
+    };
+    let avg = windowed("/gpunode/gpu0/power", AggFn::Avg);
+    println!("\nsmoothed power series: {} windows of 10 s", avg.len());
+    let during_job = avg.iter().find(|r| r.ts > 400 * S).expect("a window during the job");
     println!("  smoothed power during the job: {:.0} W", during_job.value);
     assert!(during_job.value > 200.0);
 
-    let rate_sid = agent.registry().get("/analytics/rate/gpunode/gpu0/memory_used").unwrap();
-    let rates = agent.store().query(rate_sid, TimeRange::all());
+    let rates = windowed("/gpunode/gpu0/memory_used", AggFn::Rate);
     let peak_alloc = rates.iter().map(|r| r.value).fold(f64::MIN, f64::max);
     println!("  peak memory allocation rate: {peak_alloc:.0} MiB/s");
     assert!(peak_alloc > 0.0);
 
     println!(
-        "\nanalytics processed {} readings, wrote {} derived readings",
-        analytics.processed.load(std::sync::atomic::Ordering::Relaxed),
-        analytics.derived_written.load(std::sync::atomic::Ordering::Relaxed)
+        "\nthe agent stored {} readings",
+        agent.stats().readings.load(std::sync::atomic::Ordering::Relaxed)
     );
     println!("streaming analytics OK");
 }
