@@ -1,4 +1,11 @@
 //! The Collect Agent core: message handling and storage writing.
+//!
+//! The embedded broker delivers the PUBLISHes of each socket read as one
+//! batch ([`CollectAgent::handle_publishes`]): the batch is decoded, its
+//! topics resolved under one read lock, its readings written with one
+//! [`StoreCluster::insert_many`] (one memtable lock per store node), and its
+//! counters, clock pair, TTL horizon and alert lock paid once.  A single
+//! publish is a batch of one ([`CollectAgent::handle_publish`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -6,9 +13,9 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use dcdb_core::SensorDb;
-use dcdb_mqtt::broker::{Broker, BrokerConfig, PublishSink};
+use dcdb_mqtt::broker::{Broker, BrokerConfig, PublishSink, Sink};
+use dcdb_mqtt::codec::{PublishRef, QoS};
 use dcdb_mqtt::payload::{decode_payload_each, PayloadEncoding, RECORD_SIZE};
 use dcdb_obs::{Histogram, Kind};
 use dcdb_sid::{SensorId, TopicRegistry};
@@ -19,8 +26,8 @@ use parking_lot::{Mutex, RwLock};
 /// Collect Agent counters.
 ///
 /// `busy_ns` accumulates the *measured* processing time of the message
-/// handler; the Fig. 8 harness derives per-core CPU load from it the same
-/// way the paper derives it from `ps`.
+/// handler, timed once per delivered batch; the Fig. 8 harness derives
+/// per-core CPU load from it the same way the paper derives it from `ps`.
 #[derive(Debug, Default)]
 pub struct CollectAgentStats {
     /// MQTT messages processed.
@@ -29,7 +36,8 @@ pub struct CollectAgentStats {
     pub readings: AtomicU64,
     /// Messages dropped (bad topic or torn payload).
     pub dropped: AtomicU64,
-    /// Wall-clock nanoseconds spent inside the handler.
+    /// Wall-clock nanoseconds spent inside the handler (summed over
+    /// batches).
     pub busy_ns: AtomicU64,
     /// Messages that arrived with the compressed payload encoding.
     pub compressed_messages: AtomicU64,
@@ -47,7 +55,18 @@ struct TopicSlot {
     latest: Mutex<(PayloadEncoding, Option<Reading>)>,
 }
 
-// Decode buffer reused by the publishes handled on this thread.
+/// One publish of a batch that decoded and resolved: what the store, the
+/// slot cache, the alert rules and the counters need of it.
+struct Accepted<'a> {
+    topic: &'a str,
+    payload_len: usize,
+    encoding: PayloadEncoding,
+    slot: Arc<TopicSlot>,
+    /// Its readings, borrowed from the batch's decode buffer.
+    readings: &'a [Reading],
+}
+
+// Decode buffer reused by the batches handled on this thread.
 thread_local!(static DECODED: Cell<Vec<Reading>> = const { Cell::new(Vec::new()) });
 
 /// The Collect Agent.
@@ -58,7 +77,9 @@ pub struct CollectAgent {
     stats: Arc<CollectAgentStats>,
     /// Every topic seen, keyed as published.
     slots: RwLock<std::collections::HashMap<Box<str>, Arc<TopicSlot>>>,
-    /// Per-message handler latency (the distribution behind `busy_ns`).
+    /// Handler latency per delivered batch — one socket read's publishes,
+    /// or one [`CollectAgent::handle_publish`] — the distribution behind
+    /// `busy_ns`.
     handle_ns: Arc<Histogram>,
     /// Shared timing toggle from the cluster registry.
     timing: Arc<AtomicBool>,
@@ -134,58 +155,88 @@ impl CollectAgent {
         SelfMonitor { stop: Some(stop), handle: Some(handle) }
     }
 
-    /// Handle one publish: payload → readings, topic → slot, write to
-    /// store, evaluate the alert rules.  This is the agent's one ingest
-    /// path.
+    /// Handle one publish: a batch of one ([`CollectAgent::handle_publishes`]).
     pub fn handle_publish(&self, topic: &str, payload: &[u8]) {
+        self.handle_publishes(&[PublishRef { topic, payload, qos: QoS::AtMostOnce, pid: None }]);
+    }
+
+    /// Handle a batch of publishes, in order: payloads → readings, topics →
+    /// slots, one write to the store, the alert rules.  This is the agent's
+    /// one ingest path.  A publish whose payload does not decode, or whose
+    /// topic does not resolve, is dropped and counted; it registers nothing.
+    pub fn handle_publishes(&self, batch: &[PublishRef<'_>]) {
         let start = Instant::now();
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
         let mut readings = DECODED.take();
-        let outcome = (|| -> Option<usize> {
-            // decode first: a publish that is dropped registers nothing
-            let encoding =
-                decode_payload_each(payload, |ts, value| readings.push(Reading::new(ts, value)))?;
-            let known = self.slots.read().get(topic).cloned();
-            let slot = known.or_else(|| {
-                let sid = self.db.registry().resolve(topic).ok()?;
-                let slot = Arc::new(TopicSlot { sid, latest: Mutex::new((encoding, None)) });
-                Some(Arc::clone(self.slots.write().entry(topic.into()).or_insert(slot)))
-            })?;
-            self.stats.payload_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-            let fixed_width = (readings.len() * RECORD_SIZE) as u64;
-            self.stats.fixed_width_bytes.fetch_add(fixed_width, Ordering::Relaxed);
-            if encoding == PayloadEncoding::Compressed {
-                self.stats.compressed_messages.fetch_add(1, Ordering::Relaxed);
+        // decode first: a publish that is dropped registers nothing
+        let mut decoded = Vec::with_capacity(batch.len());
+        {
+            let slots = self.slots.read();
+            for publish in batch {
+                let from = readings.len();
+                let each = |ts, value| readings.push(Reading::new(ts, value));
+                if let Some(encoding) = decode_payload_each(publish.payload, each) {
+                    let known = slots.get(publish.topic).cloned();
+                    decoded.push((publish, encoding, from..readings.len(), known));
+                }
             }
-            let Some(&last) = readings.last() else {
-                slot.latest.lock().0 = encoding;
-                return Some(0);
-            };
+        }
+        let accepted: Vec<Accepted<'_>> = decoded
+            .into_iter()
+            .filter_map(|(publish, encoding, range, known)| {
+                // a first-sight topic takes the write path
+                let slot = known.or_else(|| self.register(publish.topic, encoding))?;
+                let (topic, payload_len) = (publish.topic, publish.payload.len());
+                Some(Accepted { topic, payload_len, encoding, slot, readings: &readings[range] })
+            })
+            .collect();
+
+        let entries: Vec<_> = accepted.iter().map(|a| (a.slot.sid, a.readings)).collect();
+        if let Some(newest) = accepted.iter().filter_map(|a| a.readings.last()).map(|r| r.ts).max()
+        {
             let store = self.db.store();
-            store.insert_batch(slot.sid, &readings);
+            store.insert_many(&entries);
             // advance the store's TTL horizon with the data clock so the
             // maintenance ticker can expire old readings without the
             // agent ever reading a wall clock on the ingest path
-            store.advance_now(last.ts);
-            *slot.latest.lock() = (encoding, Some(last));
-            // batched: filter match + instance lookup once per publish
-            self.db.observe_alerts(topic, &readings);
-            Some(readings.len())
-        })();
+            store.advance_now(newest);
+        }
+        for a in &accepted {
+            let mut latest = a.slot.latest.lock();
+            latest.0 = a.encoding;
+            if let Some(&last) = a.readings.last() {
+                latest.1 = Some(last);
+            }
+        }
+        self.db.observe_alerts(accepted.iter().map(|a| (a.topic, a.readings)));
+
+        let stats = &self.stats;
+        let sum = |f: fn(&Accepted<'_>) -> usize| accepted.iter().map(f).sum::<usize>() as u64;
+        let stored = sum(|a| a.readings.len());
+        stats.messages.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        stats.dropped.fetch_add((batch.len() - accepted.len()) as u64, Ordering::Relaxed);
+        stats.readings.fetch_add(stored, Ordering::Relaxed);
+        stats.fixed_width_bytes.fetch_add(stored * RECORD_SIZE as u64, Ordering::Relaxed);
+        stats.payload_bytes.fetch_add(sum(|a| a.payload_len), Ordering::Relaxed);
+        let compressed = sum(|a| usize::from(a.encoding == PayloadEncoding::Compressed));
+        stats.compressed_messages.fetch_add(compressed, Ordering::Relaxed);
         readings.clear();
         readings.shrink_to(1 << 16); // a pathologically large buffer is not kept
         DECODED.set(readings);
-        match outcome {
-            Some(n) => self.stats.readings.fetch_add(n as u64, Ordering::Relaxed),
-            None => self.stats.dropped.fetch_add(1, Ordering::Relaxed),
-        };
         let elapsed = start.elapsed().as_nanos() as u64;
-        self.stats.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
+        stats.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
         // the histogram shares busy_ns's measurement, so it costs no extra
         // clock reads; the observe itself is gated with the other timings
         if self.timing.load(Ordering::Relaxed) {
             self.handle_ns.observe(elapsed);
         }
+    }
+
+    /// A first-sight topic's slot, registered under the write lock (`None`
+    /// when the topic does not resolve to a SID).
+    fn register(&self, topic: &str, encoding: PayloadEncoding) -> Option<Arc<TopicSlot>> {
+        let sid = self.db.registry().resolve(topic).ok()?;
+        let slot = Arc::new(TopicSlot { sid, latest: Mutex::new((encoding, None)) });
+        Some(Arc::clone(self.slots.write().entry(topic.into()).or_insert(slot)))
     }
 
     /// The topic ↔ SID registry (shared with query tooling).
@@ -236,12 +287,10 @@ impl CollectAgent {
         v
     }
 
-    /// A [`PublishSink`] for wiring into an MQTT broker.
+    /// A [`PublishSink`] for wiring into an MQTT broker: the agent itself,
+    /// handed each socket read's publishes as one batch.
     pub fn sink(self: &Arc<Self>) -> PublishSink {
-        let agent = Arc::clone(self);
-        Arc::new(move |topic: &str, payload: &Bytes, _qos| {
-            agent.handle_publish(topic, payload);
-        })
+        Arc::clone(self) as PublishSink
     }
 
     /// Start a real TCP MQTT broker feeding this agent.
@@ -265,6 +314,12 @@ impl CollectAgent {
         self.spawn_periodic("dcdb-self-monitor", interval, move |agent, now| {
             agent.db.publish_self_metrics(&node, now);
         })
+    }
+}
+
+impl Sink for CollectAgent {
+    fn publish_batch(&self, batch: &[PublishRef<'_>]) {
+        self.handle_publishes(batch);
     }
 }
 

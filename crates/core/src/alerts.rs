@@ -25,18 +25,20 @@
 //! * Re-notification throttling: a firing alert re-notifies at most once
 //!   per `renotify` interval.
 //! * Rules evaluate on the **live ingest stream**
-//!   ([`AlertEngine::observe_batch`], fed once per publish by the Collect
-//!   Agent's ingest path through [`SensorDb::observe_alerts`]) and
+//!   ([`AlertEngine::observe_batch`], fed once per stored publish by the
+//!   Collect Agent's ingest path through [`SensorDb::observe_alerts`]) and
 //!   **periodically** ([`AlertEngine::tick`]) — the
 //!   tick drives staleness checks and query-based rules, which evaluate a
 //!   windowed aggregate through [`SensorDb::execute`] (one rule over "avg
 //!   rack power over the last minute" instead of every raw reading).
 //!
 //! Every notification-worthy transition is recorded in the cluster's
-//! [`EventJournal`]; alert state surfaces as Prometheus
-//! `ALERTS{alertname=...,state=...}` samples on `GET /metrics`, as JSON on
-//! `GET /alerts`, and in the `alerts` block of the Collect Agent's
-//! `/stats`.  Rules load from a simple INI-style config
+//! [`EventJournal`] at the wall-clock time it was taken, like every other
+//! journal event; the evaluation timestamp (the reading's, for stream
+//! rules) is the instance's `since_ns` and is named in the message.
+//! Alert state surfaces as Prometheus `ALERTS{alertname=...,state=...}`
+//! samples on `GET /metrics`, as JSON on `GET /alerts`, and in the
+//! `alerts` block of the Collect Agent's `/stats`.  Rules load from a simple INI-style config
 //! ([`parse_rules`], `dcdbcollectagent --alert-rules <file>`).
 
 use std::collections::BTreeMap;
@@ -520,7 +522,7 @@ impl AlertEngine {
 
     /// Evaluate a batch of readings from one topic, in timestamp order,
     /// against every matching rule — the Collect Agent's ingest path calls
-    /// this once per publish.  The per-batch cost is one lock, one map
+    /// this once per stored publish.  The per-batch cost is one lock, one map
     /// lookup (the topic's matched-rule list is cached in its per-topic
     /// state, so filters are not re-walked) and one shared
     /// min/max envelope pass; threshold/absence rules in a steady state
@@ -675,13 +677,14 @@ impl AlertEngine {
             inst.notifications += 1;
             self.notifications.fetch_add(1, Ordering::Relaxed);
         }
-        inst.message = format!("{topic}: {verb} ({}; value {value})", rule.condition.describe());
+        inst.message =
+            format!("{topic}: {verb} at {ts} ns ({}; value {value})", rule.condition.describe());
         let severity = match transition {
             Transition::Resolved => Severity::Info,
             _ => Severity::Warning,
         };
         if let Some(journal) = self.journal.read().as_ref() {
-            journal.record_at(ts, EventKind::AlertTransition, severity, &rule.name, &inst.message);
+            journal.record(EventKind::AlertTransition, severity, &rule.name, &inst.message);
         }
     }
 
@@ -1043,6 +1046,36 @@ mod tests {
             journal.since(0).iter().filter(|e| e.kind == EventKind::ConfigChange).count(),
             1
         );
+    }
+
+    #[test]
+    fn stream_transitions_are_journaled_on_the_wall_clock() {
+        let wall = || {
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_nanos() as i64)
+                .unwrap()
+        };
+        const T: i64 = 300_000_000_000; // the reading's own clock: t = 300 s
+        let journal = Arc::new(EventJournal::new(16));
+        let engine = AlertEngine::new();
+        engine.set_journal(Arc::clone(&journal));
+        engine.add_rule(AlertRule::new("hot", "/p", AlertCondition::Above(1.0)));
+        let before = wall();
+        engine.observe("/p", T, 2.0);
+        let after = wall();
+        let events: Vec<_> =
+            journal.since(0).into_iter().filter(|e| e.kind == EventKind::AlertTransition).collect();
+        assert_eq!(events.len(), 1, "{events:?}");
+        let e = &events[0];
+        assert!(
+            (before..=after).contains(&e.ts_unix_ns),
+            "{} not in {before}..={after}",
+            e.ts_unix_ns
+        );
+        // the data clock stays in the instance and the message
+        assert!(e.message.contains(&format!("at {T} ns")), "{}", e.message);
+        assert_eq!(engine.alerts()[0].since_ns, T);
     }
 
     #[test]

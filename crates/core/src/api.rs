@@ -186,11 +186,14 @@ impl SensorDb {
         self.alerts.read().clone()
     }
 
-    /// Feed one stored batch of `topic` to the installed alert engine, if
-    /// any: the ingest path's hook, one read lock and no `Arc` clone.
-    pub fn observe_alerts(&self, topic: &str, readings: &[Reading]) {
+    /// Feed stored `(topic, readings)` batches, in order, to the installed
+    /// alert engine, if any: the ingest path's hook, one read lock and no
+    /// `Arc` clone per call.
+    pub fn observe_alerts<'a>(&self, batches: impl IntoIterator<Item = (&'a str, &'a [Reading])>) {
         if let Some(engine) = self.alerts.read().as_ref() {
-            engine.observe_batch(topic, readings);
+            for (topic, readings) in batches {
+                engine.observe_batch(topic, readings);
+            }
         }
     }
 

@@ -5,13 +5,18 @@
 //! publish interface but not the subscribe interface, because the Storage
 //! Backend is the only consumer and filtering every message through a topic
 //! trie would be wasted work (paper §4.2).  This broker reproduces that
-//! design: every received PUBLISH is handed to a [`PublishSink`] callback,
-//! and every SUBSCRIBE filter is refused (SUBACK `0x80`).
+//! design: the PUBLISHes of every socket read are handed to a
+//! [`PublishSink`] as one batch, and every SUBSCRIBE filter is refused
+//! (SUBACK `0x80`).
 //!
 //! Connections run on [`dcdb_http::serve()`]: one thread per connection,
 //! blocked in `read` on its [`PacketReader`] while idle and stopped by a
 //! socket shutdown, so an idle broker wakes no thread.  Only that thread
-//! writes to its socket.
+//! writes to its socket.  Each read's frames are parsed in place
+//! ([`parse_frame`]): its PUBLISHes become [`PublishRef`]s borrowing the read
+//! buffer and go to the sink in one [`Sink::publish_batch`] call.  A QoS-1
+//! PUBLISH, and any other packet, first delivers the batch pending before
+//! it, so every PUBACK leaves after its PUBLISH was handled, in order.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -21,13 +26,32 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use dcdb_http::{serve, Server};
 
-use crate::codec::{encode_packet, ConnectReturnCode, Packet, PacketReader, QoS};
+use crate::codec::{
+    encode_packet, parse_frame, ConnectReturnCode, Frame, Packet, PacketReader, PublishRef, QoS,
+};
 
-/// Callback receiving every PUBLISH accepted by the broker.
+/// Receives the PUBLISHes the broker accepts, one batch per socket read.
 ///
-/// Arguments: topic, payload, QoS.  This is the hook the Collect Agent uses
-/// to forward readings to Storage Backends without a subscription round-trip.
-pub type PublishSink = Arc<dyn Fn(&str, &Bytes, QoS) + Send + Sync>;
+/// This is the hook the Collect Agent uses to forward readings to Storage
+/// Backends without a subscription round-trip; the agent implements it on
+/// its own type.  Any `Fn(topic, payload, QoS)` closure is a sink too,
+/// called once per message with the payload copied into [`Bytes`].
+pub trait Sink: Send + Sync {
+    /// Handle `batch`, in order.  The broker acknowledges a QoS-1 publish
+    /// only after the call that carried it has returned.
+    fn publish_batch(&self, batch: &[PublishRef<'_>]);
+}
+
+impl<F: Fn(&str, &Bytes, QoS) + Send + Sync> Sink for F {
+    fn publish_batch(&self, batch: &[PublishRef<'_>]) {
+        for publish in batch {
+            self(publish.topic, &Bytes::copy_from_slice(publish.payload), publish.qos);
+        }
+    }
+}
+
+/// The sink a [`Broker`] hands its batches to.
+pub type PublishSink = Arc<dyn Sink>;
 
 /// Broker settings.
 #[derive(Clone)]
@@ -129,53 +153,101 @@ fn connection_loop(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut src = CountedReads { stream: &stream, reads: &shared.stats.reads };
     let mut packets = PacketReader::default();
-    let mut connected = false;
-    while let Some(packet) = packets.next(&mut src)? {
-        if !handle_packet(packet, shared, &stream, &mut connected)? {
+    let mut conn = Connection { shared, writer: &stream, connected: false };
+    while packets.fill(&mut src)? {
+        let mut batch = Vec::new();
+        let served = conn.serve(packets.buffered(), &mut batch);
+        // what was accepted before a bad frame is handled, as it would be
+        // packet by packet
+        conn.deliver(&mut batch);
+        let (used, open) = served?;
+        packets.consume(used);
+        if !open {
             break;
         }
     }
     Ok(())
 }
 
-/// Act on one packet; `false` once the client has disconnected.
-fn handle_packet(
-    packet: Packet,
-    shared: &Shared,
-    writer: &TcpStream,
-    connected: &mut bool,
-) -> io::Result<bool> {
-    let reply = match packet {
-        Packet::Connect { .. } => {
-            *connected = true;
-            shared.stats.connects.fetch_add(1, Ordering::Relaxed);
-            Packet::Connack { session_present: false, code: ConnectReturnCode::Accepted }
-        }
-        Packet::Publish { topic, payload, qos, pid, .. } => {
-            if !*connected {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "PUBLISH before CONNECT"));
+/// One connection's session state.
+struct Connection<'a> {
+    shared: &'a Shared,
+    writer: &'a TcpStream,
+    connected: bool,
+}
+
+impl Connection<'_> {
+    /// Handle the whole frames at the front of `buf`, collecting PUBLISHes
+    /// into `batch`: `(bytes handled, false once the client disconnected)`.
+    fn serve<'b>(
+        &mut self,
+        buf: &'b [u8],
+        batch: &mut Vec<PublishRef<'b>>,
+    ) -> io::Result<(usize, bool)> {
+        let mut used = 0;
+        while let Some((frame, len)) = parse_frame(&buf[used..])? {
+            used += len;
+            match frame {
+                Frame::Publish(publish) => {
+                    if !self.connected {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "PUBLISH before CONNECT",
+                        ));
+                    }
+                    batch.push(publish);
+                    if let (QoS::AtLeastOnce, Some(pid)) = (publish.qos, publish.pid) {
+                        self.deliver(batch);
+                        send(self.writer, &Packet::Puback { pid })?;
+                    }
+                }
+                Frame::Packet(packet) => {
+                    self.deliver(batch);
+                    if !self.handle_packet(packet)? {
+                        return Ok((used, false));
+                    }
+                }
             }
-            shared.stats.publishes.fetch_add(1, Ordering::Relaxed);
-            shared.stats.publish_bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
-            if let Some(sink) = &shared.sink {
-                sink(&topic, &payload, qos);
-            }
-            match (qos, pid) {
-                (QoS::AtLeastOnce, Some(pid)) => Packet::Puback { pid },
-                _ => return Ok(true),
-            }
         }
-        // publish-only: every filter is refused
-        Packet::Subscribe { pid, filters } => {
-            Packet::Suback { pid, return_codes: vec![0x80; filters.len()] }
+        Ok((used, true))
+    }
+
+    /// Hand the pending PUBLISHes to the sink, and empty `batch`.
+    fn deliver(&self, batch: &mut Vec<PublishRef<'_>>) {
+        if batch.is_empty() {
+            return;
         }
-        Packet::Unsubscribe { pid, .. } => Packet::Unsuback { pid },
-        Packet::Pingreq => Packet::Pingresp,
-        Packet::Disconnect => return Ok(false),
-        Packet::Pubrel { pid } => Packet::Pubcomp { pid },
-        // Packets a broker does not expect from clients are ignored.
-        _ => return Ok(true),
-    };
-    send(writer, &reply)?;
-    Ok(true)
+        let stats = &self.shared.stats;
+        let bytes: usize = batch.iter().map(|p| p.payload.len()).sum();
+        stats.publishes.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        stats.publish_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        if let Some(sink) = &self.shared.sink {
+            sink.publish_batch(batch);
+        }
+        batch.clear();
+    }
+
+    /// Act on one packet other than PUBLISH; `false` once the client has
+    /// disconnected.
+    fn handle_packet(&mut self, packet: Packet) -> io::Result<bool> {
+        let reply = match packet {
+            Packet::Connect { .. } => {
+                self.connected = true;
+                self.shared.stats.connects.fetch_add(1, Ordering::Relaxed);
+                Packet::Connack { session_present: false, code: ConnectReturnCode::Accepted }
+            }
+            // publish-only: every filter is refused
+            Packet::Subscribe { pid, filters } => {
+                Packet::Suback { pid, return_codes: vec![0x80; filters.len()] }
+            }
+            Packet::Unsubscribe { pid, .. } => Packet::Unsuback { pid },
+            Packet::Pingreq => Packet::Pingresp,
+            Packet::Disconnect => return Ok(false),
+            Packet::Pubrel { pid } => Packet::Pubcomp { pid },
+            // Packets a broker does not expect from clients are ignored.
+            _ => return Ok(true),
+        };
+        send(self.writer, &reply)?;
+        Ok(true)
+    }
 }

@@ -3,10 +3,12 @@
 //! Implements encoding and decoding for all fourteen control packet types of
 //! the OASIS MQTT 3.1.1 specification, including the variable-length
 //! "remaining length" encoding and UTF-8 string fields.  Decoding is
-//! incremental: [`decode_packet`] returns `Ok(None)` when the buffer does not
-//! yet hold a complete packet, so callers can accumulate TCP reads;
-//! [`PacketReader`] is that accumulation, the one loop every socket reader
-//! in this crate runs.
+//! incremental: [`decode_packet`] and [`parse_frame`] return `Ok(None)` when
+//! the buffer does not yet hold a complete packet, so callers can accumulate
+//! TCP reads; [`PacketReader`] is that accumulation, the one buffer every
+//! socket reader in this crate reads into.  [`parse_frame`] is the broker's
+//! decoder: it parses a PUBLISH in place, as a [`PublishRef`] borrowing the
+//! read buffer, and hands every other packet to [`decode_packet`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -427,11 +429,9 @@ fn get_u16(buf: &mut Bytes) -> Result<u16, CodecError> {
     Ok(buf.get_u16())
 }
 
-/// Decode one packet from the front of `buf`.
-///
-/// Consumes the packet bytes on success.  Returns `Ok(None)` when `buf` does
-/// not yet hold a complete packet (read more from the socket and retry).
-pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
+/// The extent of the frame at the front of `buf`: `Ok(None)` until its whole
+/// fixed header and body are buffered, else `(frame length, header length)`.
+fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize)>, CodecError> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -445,10 +445,84 @@ pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
     if buf.len() < total {
         return Ok(None);
     }
+    Ok(Some((total, 1 + hdr_extra)))
+}
+
+/// A PUBLISH parsed in place by [`parse_frame`]: topic and payload borrow
+/// the buffer it was parsed from, so nothing is copied or allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishRef<'a> {
+    /// Destination topic.
+    pub topic: &'a str,
+    /// Message body.
+    pub payload: &'a [u8],
+    /// Delivery QoS.
+    pub qos: QoS,
+    /// Packet identifier, present when qos > 0.
+    pub pid: Option<u16>,
+}
+
+/// One whole frame at the front of a buffer, as [`parse_frame`] returns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame<'a> {
+    /// A PUBLISH, borrowed from the buffer.
+    Publish(PublishRef<'a>),
+    /// Any other control packet, decoded by [`decode_packet`].
+    Packet(Packet),
+}
+
+/// Parse the frame at the front of `buf` without consuming it: `Ok(None)`
+/// while it is incomplete, else the frame and its length in bytes.
+///
+/// A PUBLISH is parsed in place and gets every check [`decode_packet`]
+/// makes on one, with the same error: remaining-length overflow,
+/// [`MAX_PACKET_SIZE`], QoS 3, a truncated topic or packet identifier and
+/// invalid UTF-8.  Any other packet is [`decode_packet`]'s.
+pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, CodecError> {
+    let Some((total, header)) = frame_extent(buf)? else {
+        return Ok(None);
+    };
+    let frame = if buf[0] >> 4 == 3 {
+        Frame::Publish(parse_publish(buf[0] & 0x0F, &buf[header..total])?)
+    } else {
+        let packet = decode_packet(&mut BytesMut::from(&buf[..total]))?;
+        Frame::Packet(packet.ok_or(CodecError::Malformed("incomplete frame"))?)
+    };
+    Ok(Some((frame, total)))
+}
+
+/// A PUBLISH body with fixed-header `flags`, borrowed.
+fn parse_publish(flags: u8, body: &[u8]) -> Result<PublishRef<'_>, CodecError> {
+    let qos = QoS::from_bits((flags >> 1) & 0x03)?;
+    let [hi, lo, rest @ ..] = body else {
+        return Err(CodecError::Malformed("truncated string length"));
+    };
+    let len = usize::from(u16::from_be_bytes([*hi, *lo]));
+    if rest.len() < len {
+        return Err(CodecError::Malformed("truncated string body"));
+    }
+    let (topic, rest) = rest.split_at(len);
+    let topic = std::str::from_utf8(topic).map_err(|_| CodecError::InvalidUtf8)?;
+    let (pid, payload) = match (qos, rest) {
+        (QoS::AtMostOnce, payload) => (None, payload),
+        (_, [hi, lo, payload @ ..]) => (Some(u16::from_be_bytes([*hi, *lo])), payload),
+        _ => return Err(CodecError::Malformed("truncated u16")),
+    };
+    Ok(PublishRef { topic, payload, qos, pid })
+}
+
+/// Decode one packet from the front of `buf`.
+///
+/// Consumes the packet bytes on success.  Returns `Ok(None)` when `buf` does
+/// not yet hold a complete packet (read more from the socket and retry).
+pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
+    let Some((total, header)) = frame_extent(buf)? else {
+        return Ok(None);
+    };
     let first = buf[0];
     let frame = Bytes::copy_from_slice(&buf[..total]);
     buf.advance(total);
-    let mut body = frame.slice(1 + hdr_extra..);
+    let mut body = frame.slice(header..);
     let ptype = first >> 4;
     let flags = first & 0x0F;
 
@@ -563,7 +637,10 @@ pub fn decode_packet(buf: &mut BytesMut) -> Result<Option<Packet>, CodecError> {
     Ok(Some(packet))
 }
 
-/// Whole packets out of a byte stream: read, buffer, [`decode_packet`].
+/// Whole packets out of a byte stream: read, buffer, decode.  A client takes
+/// them one at a time ([`PacketReader::next`]); the broker parses all that
+/// one read brought in place ([`PacketReader::fill`], [`parse_frame`] over
+/// [`PacketReader::buffered`], [`PacketReader::consume`]).
 #[derive(Default)]
 pub struct PacketReader {
     buf: BytesMut,
@@ -578,16 +655,39 @@ impl PacketReader {
     /// `InvalidData` when the bytes do not decode, after which the stream
     /// cannot be resynchronised; otherwise `src`'s, read timeouts included.
     pub fn next(&mut self, src: &mut impl Read) -> io::Result<Option<Packet>> {
-        self.chunk.resize(16 * 1024, 0);
         loop {
             if let Some(packet) = decode_packet(&mut self.buf)? {
                 return Ok(Some(packet));
             }
-            match src.read(&mut self.chunk)? {
-                0 => return Ok(None),
-                n => self.buf.extend_from_slice(&self.chunk[..n]),
+            if !self.fill(src)? {
+                return Ok(None);
             }
         }
+    }
+
+    /// One read from `src` (at most 16 KiB), appended to the buffered bytes;
+    /// `false` at end of stream.
+    ///
+    /// # Errors
+    /// `src`'s, read timeouts included.
+    pub fn fill(&mut self, src: &mut impl Read) -> io::Result<bool> {
+        self.chunk.resize(16 * 1024, 0);
+        let n = src.read(&mut self.chunk)?;
+        self.buf.extend_from_slice(&self.chunk[..n]);
+        Ok(n > 0)
+    }
+
+    /// The bytes read and not yet consumed.
+    pub fn buffered(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drop the first `n` buffered bytes: the frames the caller handled.
+    ///
+    /// # Panics
+    /// When `n` exceeds the buffered length.
+    pub fn consume(&mut self, n: usize) {
+        self.buf.advance(n);
     }
 }
 

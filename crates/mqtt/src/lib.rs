@@ -10,7 +10,8 @@
 //! * [`broker`] — a TCP broker, one blocking thread per connection.  Like
 //!   DCDB's Collect Agent it is *publish-only*: it refuses every
 //!   subscription, so no topic-filtering cost is paid (paper §4.2), and an
-//!   in-process sink callback receives every publish instead,
+//!   in-process sink receives the publishes of each socket read as one
+//!   batch of borrowed [`PublishRef`]s instead,
 //! * [`client`] — a blocking publishing client with QoS 0/1 publish,
 //!   keep-alive and automatic reconnect.
 
@@ -20,7 +21,10 @@ pub mod codec;
 pub mod payload;
 pub mod topic;
 
-pub use broker::{Broker, BrokerConfig, BrokerStats, PublishSink};
+pub use broker::{Broker, BrokerConfig, BrokerStats, PublishSink, Sink};
 pub use client::{Client, ClientConfig, ClientError};
-pub use codec::{decode_packet, encode_packet, ConnectReturnCode, Packet, PacketReader, QoS};
+pub use codec::{
+    decode_packet, encode_packet, parse_frame, ConnectReturnCode, Frame, Packet, PacketReader,
+    PublishRef, QoS,
+};
 pub use topic::{filter_matches, is_valid_filter};

@@ -15,7 +15,7 @@ use dcdb_mqtt::{
 fn start_broker() -> (Broker, Arc<AtomicUsize>) {
     let received = Arc::new(AtomicUsize::new(0));
     let r2 = Arc::clone(&received);
-    let sink: dcdb_mqtt::PublishSink = Arc::new(move |_t, _p, _q| {
+    let sink: dcdb_mqtt::PublishSink = Arc::new(move |_: &str, _: &Bytes, _| {
         r2.fetch_add(1, Ordering::Relaxed);
     });
     let broker = Broker::start(BrokerConfig::default(), Some(sink)).expect("broker start");

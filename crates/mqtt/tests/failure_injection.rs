@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use dcdb_mqtt::{Broker, BrokerConfig, Client, ClientConfig};
 
 fn start_broker() -> (Broker, Arc<AtomicUsize>) {
@@ -14,7 +15,7 @@ fn start_broker() -> (Broker, Arc<AtomicUsize>) {
     let r2 = Arc::clone(&received);
     let broker = Broker::start(
         BrokerConfig::default(),
-        Some(Arc::new(move |_t, _p, _q| {
+        Some(Arc::new(move |_: &str, _: &Bytes, _| {
             r2.fetch_add(1, Ordering::Relaxed);
         })),
     )

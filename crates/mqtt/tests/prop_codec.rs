@@ -1,9 +1,12 @@
 //! Property tests: the codec round-trips arbitrary packets and never panics
-//! on arbitrary input bytes.
+//! on arbitrary input bytes, and the broker's in-place parser
+//! ([`parse_frame`]) gives [`decode_packet`]'s verdict on every PUBLISH,
+//! whole, truncated or bit-flipped.
 
 use bytes::{Bytes, BytesMut};
-use dcdb_mqtt::codec::{decode_packet, encode_packet, Packet, QoS};
+use dcdb_mqtt::codec::{decode_packet, encode_packet, parse_frame, Frame, Packet, QoS};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn qos_strategy() -> impl Strategy<Value = QoS> {
     prop_oneof![Just(QoS::AtMostOnce), Just(QoS::AtLeastOnce), Just(QoS::ExactlyOnce)]
@@ -97,5 +100,115 @@ proptest! {
         // one-level-deeper filter never matches
         let deeper = format!("{topic}/zzz");
         prop_assert!(!dcdb_mqtt::filter_matches(&deeper, &topic));
+    }
+}
+
+/// `parse_frame` against `decode_packet` on the same bytes: the same verdict
+/// (complete, incomplete or the same error), the same topic, payload and
+/// packet identifier, and the same number of bytes consumed.
+fn parsers_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut buf = BytesMut::from(bytes);
+    let decoded = decode_packet(&mut buf);
+    let consumed = bytes.len() - buf.len();
+    match (parse_frame(bytes), decoded) {
+        (Ok(None), Ok(None)) => {}
+        (Err(parsed), Err(decoded)) => prop_assert_eq!(parsed, decoded),
+        (
+            Ok(Some((Frame::Publish(p), len))),
+            Ok(Some(Packet::Publish { topic, payload, qos, pid, .. })),
+        ) => {
+            prop_assert_eq!(p.topic, topic.as_str());
+            prop_assert_eq!(p.payload, &payload[..]);
+            prop_assert_eq!(p.qos, qos);
+            prop_assert_eq!(p.pid, pid);
+            prop_assert_eq!(len, consumed);
+        }
+        (Ok(Some((Frame::Packet(packet), len))), Ok(Some(decoded))) => {
+            prop_assert_eq!(packet, decoded);
+            prop_assert_eq!(len, consumed);
+        }
+        (parsed, decoded) => {
+            prop_assert!(false, "parse_frame {parsed:?} but decode_packet {decoded:?}")
+        }
+    }
+    Ok(())
+}
+
+/// One PUBLISH frame as the client encodes it.
+fn publish_frame(topic: &str, payload: &[u8], qos1: bool, pid: u16) -> Vec<u8> {
+    let (qos, pid) = if qos1 { (QoS::AtLeastOnce, Some(pid)) } else { (QoS::AtMostOnce, None) };
+    let packet = Packet::Publish {
+        topic: topic.into(),
+        payload: Bytes::copy_from_slice(payload),
+        qos,
+        retain: false,
+        dup: false,
+        pid,
+    };
+    let mut buf = BytesMut::new();
+    encode_packet(&packet, &mut buf).unwrap();
+    buf.to_vec()
+}
+
+/// The parsers agree on `frame` whole and followed by more bytes, on its
+/// truncations at `cuts`, and with bit `bit % 8` flipped at each of `flips`
+/// (all eight bits in the fixed header).
+fn frame_agrees(
+    frame: &[u8],
+    cuts: impl Iterator<Item = usize>,
+    flips: impl Iterator<Item = usize>,
+    bit: u8,
+) -> Result<(), TestCaseError> {
+    parsers_agree(frame)?;
+    parsers_agree(&[frame, frame].concat())?;
+    for cut in cuts {
+        parsers_agree(&frame[..cut])?;
+    }
+    let mut flipped = frame.to_vec();
+    for at in flips {
+        let bits = if at < 5 { 0..8 } else { bit % 8..bit % 8 + 1 };
+        for b in bits {
+            flipped[at] ^= 1 << b;
+            parsers_agree(&flipped)?;
+            flipped[at] ^= 1 << b;
+        }
+    }
+    Ok(())
+}
+
+/// Payloads whose frames take a remaining length of one byte (< 128) or
+/// two (the 100..140 band crosses 127), the empty payload included.
+fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(Vec::new()),
+        prop::collection::vec(any::<u8>(), 1..64),
+        prop::collection::vec(any::<u8>(), 100..140),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn parse_frame_agrees_with_decode_packet(
+        topic in "[a-z/_é中😀]{0,24}",
+        payload in payload_strategy(),
+        qos1 in any::<bool>(),
+        pid in any::<u16>(),
+        bit in 0u8..8,
+    ) {
+        let frame = publish_frame(&topic, &payload, qos1, pid);
+        frame_agrees(&frame, 0..frame.len(), 0..frame.len(), bit)?;
+    }
+}
+
+#[test]
+fn parse_frame_agrees_with_decode_packet_on_long_remaining_lengths() {
+    // three- and four-byte remaining lengths: every offset of the headers
+    // and topic, and a stride through the payload
+    for (len, qos1) in [(16_384, true), (20_000, false), (2_097_152, true)] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+        let frame = publish_frame("/hpc/rack0/node0/µ-sensor", &payload, qos1, 4_242);
+        let sampled =
+            || (0..64).chain((64..frame.len()).step_by(frame.len() / 16)).chain([frame.len() - 1]);
+        frame_agrees(&frame, sampled(), sampled(), 3).unwrap();
     }
 }

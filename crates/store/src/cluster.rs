@@ -133,16 +133,36 @@ impl StoreCluster {
         }
     }
 
-    /// Insert a batch for one sensor.
+    /// Insert a batch for one sensor: [`StoreCluster::insert_many`] with one
+    /// entry.
     pub fn insert_batch(&self, sid: SensorId, readings: &[Reading]) {
-        for (k, idx) in self.replica_indices(sid).enumerate() {
-            self.nodes[idx].insert_batch(sid, readings);
-            if k == 0 {
-                self.stats.local_writes.fetch_add(readings.len() as u64, Ordering::Relaxed);
-            } else {
-                self.stats.replica_writes.fetch_add(readings.len() as u64, Ordering::Relaxed);
+        self.insert_many(&[(sid, readings)]);
+    }
+
+    /// Insert the readings of several sensors, in order, each on its
+    /// `replication` nodes: one [`StoreNode::insert_many`] per node that
+    /// holds any of them, so each node's memtable lock is taken once.
+    pub fn insert_many(&self, entries: &[(SensorId, &[Reading])]) {
+        let (mut local, mut replica) = (0, 0);
+        let mut per_node: Vec<Vec<(SensorId, &[Reading])>> = vec![Vec::new(); self.nodes.len()];
+        for &(sid, readings) in entries {
+            for (k, idx) in self.replica_indices(sid).enumerate() {
+                per_node[idx].push((sid, readings));
+                let n = readings.len() as u64;
+                if k == 0 {
+                    local += n;
+                } else {
+                    replica += n;
+                }
             }
         }
+        for (node, entries) in self.nodes.iter().zip(&per_node) {
+            if !entries.is_empty() {
+                node.insert_many(entries);
+            }
+        }
+        self.stats.local_writes.fetch_add(local, Ordering::Relaxed);
+        self.stats.replica_writes.fetch_add(replica, Ordering::Relaxed);
     }
 
     /// Query a sensor's readings in `range` from its primary node: the

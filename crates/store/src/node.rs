@@ -714,25 +714,49 @@ impl StoreNode {
         }
     }
 
-    /// Insert a batch of readings for one sensor (the Collect Agent's path).
+    /// Insert a batch of readings for one sensor: [`StoreNode::insert_many`]
+    /// with one entry.
+    pub fn insert_batch(&self, sid: SensorId, readings: &[Reading]) {
+        self.insert_many(&[(sid, readings)]);
+    }
+
+    /// Insert the readings of several sensors, in order (the Collect Agent's
+    /// path: one call per delivered batch of publishes).  A later write to
+    /// the same `(sensor, ts)` wins.
+    ///
+    /// The memtable lock is taken once per call.  A memtable that fills is
+    /// frozen after the entry that filled it, as it would be with one call
+    /// per entry, and the rest goes into the fresh one.
     ///
     /// When timed instrumentation is enabled the whole call — including any
     /// backpressure stall behind a full flush backlog — is observed into
-    /// `dcdb_insert_latency_ns`.  The single-reading [`StoreNode::insert`]
-    /// path stays counter-only: an `Instant::now` pair per reading would
-    /// cost more than the insert it measures.
-    pub fn insert_batch(&self, sid: SensorId, readings: &[Reading]) {
+    /// `dcdb_insert_latency_ns`, once.  The single-reading
+    /// [`StoreNode::insert`] path stays counter-only: an `Instant::now` pair
+    /// per reading would cost more than the insert it measures.
+    pub fn insert_many(&self, entries: &[(SensorId, &[Reading])]) {
         let t0 = self.core.instruments.timing_enabled().then(Instant::now);
-        self.core.stats.inserts.fetch_add(readings.len() as u64, Ordering::Relaxed);
-        let full = {
-            let mut mt = self.core.memtable.write();
-            for r in readings {
-                mt.insert(sid, r.ts, r.value);
+        let count: usize = entries.iter().map(|(_, readings)| readings.len()).sum();
+        self.core.stats.inserts.fetch_add(count as u64, Ordering::Relaxed);
+        let mut rest = entries;
+        while !rest.is_empty() {
+            let full = {
+                let mut mt = self.core.memtable.write();
+                let mut full = false;
+                while let [(sid, readings), tail @ ..] = rest {
+                    for r in *readings {
+                        mt.insert(*sid, r.ts, r.value);
+                    }
+                    rest = tail;
+                    full = mt.len() >= self.core.cfg.memtable_flush_entries;
+                    if full {
+                        break;
+                    }
+                }
+                full
+            };
+            if full {
+                NodeCore::freeze_memtable(&self.core, self.pool_shared(), true, true);
             }
-            mt.len() >= self.core.cfg.memtable_flush_entries
-        };
-        if full {
-            NodeCore::freeze_memtable(&self.core, self.pool_shared(), true, true);
         }
         if let Some(t0) = t0 {
             self.core.instruments.insert_latency_ns.observe(t0.elapsed().as_nanos() as u64);

@@ -391,7 +391,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_store::reading::TimeRange;
+    use dcdb_store::reading::{Reading, TimeRange};
 
     #[test]
     fn bool_flags_do_not_consume_positionals() {
@@ -467,6 +467,45 @@ mod tests {
                 let got = db.query(t, TimeRange::all()).unwrap().readings;
                 got.len() != 1 || got[0].value != value(t)
             })
+            .collect();
+        assert!(wrong.is_empty(), "{} topics read other data: {wrong:?}", wrong.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_shuffled_fan_in_registry_reads_back_after_a_reload() {
+        // the ingest benchmark's shape: 8 pushers × 1 500 tester sensors,
+        // registered in a seeded shuffled order, one distinct reading each
+        let dir = std::env::temp_dir().join(format!("dcdb-tools-fanin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut topics: Vec<String> = (0..8)
+            .flat_map(|k| {
+                (0..1_500).map(move |i| format!("/hpc002a/rack{}/node{}/tester/t{i}", k / 2, k % 2))
+            })
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..topics.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            topics.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        {
+            let db = SensorDb::in_memory();
+            for (i, t) in topics.iter().enumerate() {
+                db.insert(t, 1_000 + i as i64, i as f64).unwrap();
+            }
+            save_db(&db, &dir).unwrap();
+        }
+        let db = open_db(&dir).unwrap();
+        let wrong: Vec<&String> = topics
+            .iter()
+            .enumerate()
+            .filter(|(i, t)| {
+                let got = db.query(t, TimeRange::all()).unwrap().readings;
+                got != [Reading::new(1_000 + *i as i64, *i as f64)]
+            })
+            .map(|(_, t)| t)
             .collect();
         assert!(wrong.is_empty(), "{} topics read other data: {wrong:?}", wrong.len());
         std::fs::remove_dir_all(&dir).unwrap();
