@@ -1,13 +1,19 @@
 //! The Collect Agent core: message handling and storage writing.
 //!
 //! The embedded broker delivers the PUBLISHes of each socket read as one
-//! batch ([`CollectAgent::handle_publishes`]): the batch is decoded, its
-//! topics resolved under one read lock, its readings written with one
+//! batch ([`CollectAgent::handle_publishes`]): the batch is decoded, each
+//! topic resolved through the handle's [`TopicRegistry`] (a shared-lock
+//! lookup; a first-sight topic registers), its readings written with one
 //! [`StoreCluster::insert_many`] (one memtable lock per store node), and its
 //! counters, clock pair, TTL horizon and alert lock paid once.  A single
 //! publish is a batch of one ([`CollectAgent::handle_publish`]).
+//!
+//! The agent keeps no per-topic state of its own: the registry is the one
+//! topic → SID map and the store the one source of a sensor's latest
+//! reading (what the REST `/cache` serves).
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Weak};
@@ -21,7 +27,6 @@ use dcdb_obs::{Histogram, Kind};
 use dcdb_sid::{SensorId, TopicRegistry};
 use dcdb_store::reading::Reading;
 use dcdb_store::StoreCluster;
-use parking_lot::{Mutex, RwLock};
 
 /// Collect Agent counters.
 ///
@@ -48,22 +53,15 @@ pub struct CollectAgentStats {
     pub fixed_width_bytes: AtomicU64,
 }
 
-/// A topic as published: its SID, resolved on the first decoded publish, and
-/// (the encoding negotiated by its last decoded publish, its last reading).
-struct TopicSlot {
-    sid: SensorId,
-    latest: Mutex<(PayloadEncoding, Option<Reading>)>,
-}
-
 /// One publish of a batch that decoded and resolved: what the store, the
-/// slot cache, the alert rules and the counters need of it.
+/// alert rules and the counters need of it.
 struct Accepted<'a> {
     topic: &'a str,
     payload_len: usize,
     encoding: PayloadEncoding,
-    slot: Arc<TopicSlot>,
-    /// Its readings, borrowed from the batch's decode buffer.
-    readings: &'a [Reading],
+    sid: SensorId,
+    /// Where its readings lie in the batch's decode buffer.
+    readings: Range<usize>,
 }
 
 // Decode buffer reused by the batches handled on this thread.
@@ -75,8 +73,6 @@ pub struct CollectAgent {
     /// query engine and alert engine.
     db: Arc<SensorDb>,
     stats: Arc<CollectAgentStats>,
-    /// Every topic seen, keyed as published.
-    slots: RwLock<std::collections::HashMap<Box<str>, Arc<TopicSlot>>>,
     /// Handler latency per delivered batch — one socket read's publishes,
     /// or one [`CollectAgent::handle_publish`] — the distribution behind
     /// `busy_ns`.
@@ -95,6 +91,10 @@ impl CollectAgent {
     /// several Collect Agents over one storage cluster share the topic→SID
     /// mapping so SIDs stay bijective site-wide (paper §3.2's "many Collect
     /// Agents, one or more Storage Backends").
+    ///
+    /// The agent keeps no topic table of its own, so over a store and
+    /// registry that already hold data (a reopened database) its REST API
+    /// lists and serves every stored sensor before the first publish.
     pub fn with_registry(
         store: Arc<StoreCluster>,
         registry: Arc<TopicRegistry>,
@@ -104,13 +104,7 @@ impl CollectAgent {
         register_agent_metrics(metrics, &stats);
         let handle_ns = metrics.histogram("dcdb_ingest_handle_ns");
         let timing = metrics.enabled_flag();
-        Arc::new(CollectAgent {
-            db: SensorDb::new(store, registry),
-            stats,
-            slots: RwLock::new(std::collections::HashMap::new()),
-            handle_ns,
-            timing,
-        })
+        Arc::new(CollectAgent { db: SensorDb::new(store, registry), stats, handle_ns, timing })
     }
 
     /// Start the periodic alert evaluation loop: every `interval` the
@@ -161,38 +155,36 @@ impl CollectAgent {
     }
 
     /// Handle a batch of publishes, in order: payloads → readings, topics →
-    /// slots, one write to the store, the alert rules.  This is the agent's
+    /// SIDs, one write to the store, the alert rules.  This is the agent's
     /// one ingest path.  A publish whose payload does not decode, or whose
     /// topic does not resolve, is dropped and counted; it registers nothing.
     pub fn handle_publishes(&self, batch: &[PublishRef<'_>]) {
         let start = Instant::now();
         let mut readings = DECODED.take();
-        // decode first: a publish that is dropped registers nothing
-        let mut decoded = Vec::with_capacity(batch.len());
-        {
-            let slots = self.slots.read();
-            for publish in batch {
-                let from = readings.len();
-                let each = |ts, value| readings.push(Reading::new(ts, value));
-                if let Some(encoding) = decode_payload_each(publish.payload, each) {
-                    let known = slots.get(publish.topic).cloned();
-                    decoded.push((publish, encoding, from..readings.len(), known));
-                }
+        let registry = self.db.registry();
+        let mut accepted = Vec::with_capacity(batch.len());
+        for publish in batch {
+            let from = readings.len();
+            let each = |ts, value| readings.push(Reading::new(ts, value));
+            // decode first: a publish that is dropped registers nothing
+            let Some(encoding) = decode_payload_each(publish.payload, each) else { continue };
+            // a known topic is a shared-lock lookup; a first-sight topic
+            // takes the registry's write path
+            match registry.resolve(publish.topic) {
+                Ok(sid) => accepted.push(Accepted {
+                    topic: publish.topic,
+                    payload_len: publish.payload.len(),
+                    encoding,
+                    sid,
+                    readings: from..readings.len(),
+                }),
+                Err(_) => readings.truncate(from),
             }
         }
-        let accepted: Vec<Accepted<'_>> = decoded
-            .into_iter()
-            .filter_map(|(publish, encoding, range, known)| {
-                // a first-sight topic takes the write path
-                let slot = known.or_else(|| self.register(publish.topic, encoding))?;
-                let (topic, payload_len) = (publish.topic, publish.payload.len());
-                Some(Accepted { topic, payload_len, encoding, slot, readings: &readings[range] })
-            })
-            .collect();
 
-        let entries: Vec<_> = accepted.iter().map(|a| (a.slot.sid, a.readings)).collect();
-        if let Some(newest) = accepted.iter().filter_map(|a| a.readings.last()).map(|r| r.ts).max()
-        {
+        let of = |a: &Accepted<'_>| &readings[a.readings.clone()];
+        if let Some(newest) = accepted.iter().filter_map(|a| of(a).last()).map(|r| r.ts).max() {
+            let entries: Vec<_> = accepted.iter().map(|a| (a.sid, of(a))).collect();
             let store = self.db.store();
             store.insert_many(&entries);
             // advance the store's TTL horizon with the data clock so the
@@ -200,18 +192,11 @@ impl CollectAgent {
             // agent ever reading a wall clock on the ingest path
             store.advance_now(newest);
         }
-        for a in &accepted {
-            let mut latest = a.slot.latest.lock();
-            latest.0 = a.encoding;
-            if let Some(&last) = a.readings.last() {
-                latest.1 = Some(last);
-            }
-        }
-        self.db.observe_alerts(accepted.iter().map(|a| (a.topic, a.readings)));
+        self.db.observe_alerts(accepted.iter().map(|a| (a.topic, of(a))));
 
         let stats = &self.stats;
+        let stored = readings.len() as u64;
         let sum = |f: fn(&Accepted<'_>) -> usize| accepted.iter().map(f).sum::<usize>() as u64;
-        let stored = sum(|a| a.readings.len());
         stats.messages.fetch_add(batch.len() as u64, Ordering::Relaxed);
         stats.dropped.fetch_add((batch.len() - accepted.len()) as u64, Ordering::Relaxed);
         stats.readings.fetch_add(stored, Ordering::Relaxed);
@@ -229,14 +214,6 @@ impl CollectAgent {
         if self.timing.load(Ordering::Relaxed) {
             self.handle_ns.observe(elapsed);
         }
-    }
-
-    /// A first-sight topic's slot, registered under the write lock (`None`
-    /// when the topic does not resolve to a SID).
-    fn register(&self, topic: &str, encoding: PayloadEncoding) -> Option<Arc<TopicSlot>> {
-        let sid = self.db.registry().resolve(topic).ok()?;
-        let slot = Arc::new(TopicSlot { sid, latest: Mutex::new((encoding, None)) });
-        Some(Arc::clone(self.slots.write().entry(topic.into()).or_insert(slot)))
     }
 
     /// The topic ↔ SID registry (shared with query tooling).
@@ -260,31 +237,6 @@ impl CollectAgent {
     /// Counters.
     pub fn stats(&self) -> &CollectAgentStats {
         &self.stats
-    }
-
-    /// The payload encoding last negotiated on `topic` (None before the
-    /// first successfully decoded publish).
-    pub fn topic_encoding(&self, topic: &str) -> Option<PayloadEncoding> {
-        self.slots.read().get(topic).map(|s| s.latest.lock().0)
-    }
-
-    /// Latest cached reading of `topic`.
-    pub fn cached_latest(&self, topic: &str) -> Option<Reading> {
-        // one guard for both probes: chaining a second `.read()` in the
-        // `or_else` closure would re-acquire while the first temporary
-        // guard is still live (recursive read, deadlocks behind a writer)
-        let slots = self.slots.read();
-        let latest = |t: &str| slots.get(t).and_then(|s| s.latest.lock().1);
-        latest(&dcdb_sid::topic::normalize(topic)).or_else(|| latest(topic))
-    }
-
-    /// All cached topics, sorted.
-    pub fn cached_topics(&self) -> Vec<String> {
-        let slots = self.slots.read();
-        let mut v: Vec<String> =
-            slots.iter().filter_map(|(t, s)| s.latest.lock().1.map(|_| t.to_string())).collect();
-        v.sort();
-        v
     }
 
     /// A [`PublishSink`] for wiring into an MQTT broker: the agent itself,
@@ -396,11 +348,15 @@ mod tests {
     #[test]
     fn cache_keeps_latest() {
         let a = agent();
+        let db = a.sensor_db();
         a.handle_publish("/s/x", &encode_readings(&[(10, 1.0)]));
         a.handle_publish("/s/x", &encode_readings(&[(20, 2.0)]));
-        assert_eq!(a.cached_latest("/s/x").unwrap().value, 2.0);
-        assert_eq!(a.cached_topics(), vec!["/s/x".to_string()]);
-        assert!(a.cached_latest("/s/none").is_none());
+        assert_eq!(db.latest("/s/x").unwrap().value, 2.0);
+        // latest is the newest timestamp, not the last publish to arrive
+        a.handle_publish("/s/x", &encode_readings(&[(15, 1.5)]));
+        assert_eq!(db.latest("/s/x").unwrap().value, 2.0);
+        assert_eq!(a.registry().sids_under("/").len(), 1);
+        assert!(db.latest("/s/none").is_none());
     }
 
     #[test]
@@ -410,8 +366,6 @@ mod tests {
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 1);
         // a dropped publish leaves no trace of its topic
         assert_eq!(a.registry().len(), 0);
-        assert!(a.cached_topics().is_empty());
-        assert!(a.topic_encoding("/good/topic").is_none());
         a.handle_publish("/bad topic!", &encode_readings(&[(1, 1.0)]));
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 2);
         assert_eq!(a.stats().readings.load(Ordering::Relaxed), 0);
@@ -468,38 +422,13 @@ mod tests {
         assert_eq!(a.stats().messages.load(Ordering::Relaxed), 1);
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 0);
         assert_eq!(a.stats().readings.load(Ordering::Relaxed), 0);
-        // the topic registers and negotiates, but has nothing to cache
+        // the topic registers, but has no reading to serve
         assert_eq!(a.registry().len(), 1);
-        assert_eq!(a.topic_encoding("/s/e"), Some(PayloadEncoding::Fixed));
-        assert!(a.cached_topics().is_empty());
-        assert!(a.cached_latest("/s/e").is_none());
+        assert!(a.sensor_db().latest("/s/e").is_none());
     }
 
     #[test]
-    fn cache_is_keyed_as_published_and_probed_normalized_first() {
-        let a = agent();
-        a.handle_publish("/x/y", &encode_readings(&[(1, 1.0)]));
-        assert_eq!(a.cached_latest("x/y").map(|r| r.value), Some(1.0));
-        assert_eq!(a.cached_latest("/x/y").map(|r| r.value), Some(1.0));
-        let b = agent();
-        b.handle_publish("x/y", &encode_readings(&[(2, 2.0)]));
-        assert_eq!(b.cached_latest("x/y").map(|r| r.value), Some(2.0));
-        // neither `/x/y` nor its normalized form was published on `b`
-        assert!(b.cached_latest("/x/y").is_none());
-        assert_eq!(b.topic_encoding("x/y"), Some(PayloadEncoding::Fixed));
-        assert!(b.topic_encoding("/x/y").is_none());
-        // both spellings on one agent: one SID, a cache entry each, and the
-        // normalized spelling answers first
-        a.handle_publish("x/y", &encode_readings(&[(3, 3.0)]));
-        assert_eq!(a.registry().len(), 1);
-        assert_eq!(a.cached_topics(), vec!["/x/y".to_string(), "x/y".to_string()]);
-        assert_eq!(a.cached_latest("x/y").map(|r| r.value), Some(1.0));
-        let sid = a.registry().get("/x/y").unwrap();
-        assert_eq!(a.store().query(sid, TimeRange::all()).len(), 2);
-    }
-
-    #[test]
-    fn racing_first_publishes_share_one_sid_and_slot() {
+    fn racing_first_publishes_share_one_sid() {
         const THREADS: i64 = 4;
         const PER_THREAD: i64 = 100;
         let a = agent();
@@ -517,7 +446,6 @@ mod tests {
             }
         });
         assert_eq!(a.registry().len(), 1);
-        assert_eq!(a.cached_topics(), vec!["/race/s".to_string()]);
         let sid = a.registry().get("/race/s").unwrap();
         let got = a.store().query(sid, TimeRange::all());
         assert_eq!(got.len() as i64, THREADS * PER_THREAD);
@@ -526,7 +454,7 @@ mod tests {
 
     #[test]
     fn compressed_publish_lands_in_store() {
-        use dcdb_mqtt::payload::{encode_readings_compressed, PayloadEncoding};
+        use dcdb_mqtt::payload::encode_readings_compressed;
         let a = agent();
         let readings: Vec<(i64, f64)> =
             (0..60).map(|i| (i * 1_000_000_000, 300.0 + (i % 2) as f64)).collect();
@@ -536,7 +464,6 @@ mod tests {
         assert_eq!(got.len(), 60);
         assert_eq!(got[13].value, 301.0);
         assert_eq!(a.stats().compressed_messages.load(Ordering::Relaxed), 1);
-        assert_eq!(a.topic_encoding("/sys/node1/power"), Some(PayloadEncoding::Compressed));
         let sent = a.stats().payload_bytes.load(Ordering::Relaxed);
         let fixed = a.stats().fixed_width_bytes.load(Ordering::Relaxed);
         assert!(sent < fixed, "compressed payload {sent} should undercut fixed {fixed}");
@@ -569,6 +496,16 @@ mod tests {
         a.handle_publish("/_dcdb/node0/fake", &encode_readings(&[(1, 1.0)]));
         assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 1);
         assert_eq!(a.store().total_entries(), 0);
+        // a reserved topic the self-monitor registered stays closed to users
+        let db = a.sensor_db();
+        assert!(db.publish_self_metrics("node0", 1_000) > 0);
+        let topic = "/_dcdb/node0/dcdb_agent_messages_total";
+        assert!(a.registry().get(topic).is_some());
+        a.handle_publish(topic, &encode_readings(&[(2_000, 99.0)]));
+        assert_eq!(a.stats().dropped.load(Ordering::Relaxed), 2);
+        let got: Vec<_> = db.query(topic, TimeRange::all()).unwrap().readings;
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].ts, got[0].value), (1_000, 1.0));
     }
 
     #[test]
@@ -688,18 +625,15 @@ mod tests {
 
     #[test]
     fn per_topic_encoding_negotiation_upgrades() {
-        use dcdb_mqtt::payload::{encode_readings_compressed, PayloadEncoding};
+        use dcdb_mqtt::payload::encode_readings_compressed;
         let a = agent();
         a.handle_publish("/s/mix", &encode_readings(&[(10, 1.0)]));
-        assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Fixed));
         a.handle_publish("/s/mix", &encode_readings_compressed(&[(20, 2.0), (30, 3.0)]));
-        assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Compressed));
-        // and back: the negotiation follows the publisher either way
+        // and back: each publish is decoded in its own encoding
         a.handle_publish("/s/mix", &encode_readings(&[(40, 4.0)]));
-        assert_eq!(a.topic_encoding("/s/mix"), Some(PayloadEncoding::Fixed));
-        assert_eq!(a.cached_latest("/s/mix").map(|r| r.value), Some(4.0));
+        assert_eq!(a.stats().compressed_messages.load(Ordering::Relaxed), 1);
+        assert_eq!(a.sensor_db().latest("/s/mix").map(|r| r.value), Some(4.0));
         let sid = a.registry().get("/s/mix").unwrap();
         assert_eq!(a.store().query(sid, TimeRange::all()).len(), 4);
-        assert!(a.topic_encoding("/s/never").is_none());
     }
 }

@@ -4,10 +4,10 @@
 //! Backends (paper §3.1, §4.2).  It embeds a publish-only MQTT broker
 //! (subscription filtering would be wasted work — the Storage Backend is the
 //! only consumer), translates every MQTT topic into a 128-bit SensorID, and
-//! writes readings to the storage cluster.  Like Pushers, it keeps a sensor
-//! cache of the most recent readings of all connected Pushers, exposed over
-//! a REST API — e.g. to feed legacy monitoring frameworks without teaching
-//! them every sensor protocol (paper §5.3).
+//! writes readings to the storage cluster.  Like Pushers, it serves the most
+//! recent reading of every sensor over a REST API — e.g. to feed legacy
+//! monitoring frameworks without teaching them every sensor protocol (paper
+//! §5.3); the readings come from the store, not from a copy of its own.
 
 pub mod agent;
 pub mod pull;

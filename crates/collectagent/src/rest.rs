@@ -1,11 +1,16 @@
 //! The Collect Agent's RESTful API (paper §5.3).
 //!
-//! Analogous to the Pusher's: a sensor cache with the most recent readings
-//! of all connected Pushers, plus hierarchy navigation backing tools like
-//! the Grafana data source.
+//! Analogous to the Pusher's: the most recent reading of every sensor the
+//! connected Pushers feed, plus hierarchy navigation backing tools like
+//! the Grafana data source.  Both sensor endpoints read the agent's one
+//! handle (its topic registry and its store), not a table of the agent's
+//! own.
 //!
-//! * `GET /sensors` — all known sensor topics,
-//! * `GET /cache/*topic` — latest reading of one sensor,
+//! * `GET /sensors` — every topic the topic registry holds (normalised,
+//!   sorted; the self-monitoring `/_dcdb/...` sensors included),
+//! * `GET /cache/*topic` — latest reading of one sensor: the store's
+//!   newest-wins reading (newest timestamp; deleted and expired readings
+//!   excluded), value unscaled,
 //! * `GET /hierarchy?prefix=/a/b&level=N` — children at a hierarchy level,
 //! * `GET /aggregate?topic=/a/b&agg=avg&window=5m&start=NS&end=NS` —
 //!   windowed aggregation straight off the agent's store (pushdown into
@@ -47,16 +52,16 @@ pub fn router(agent: Arc<CollectAgent>) -> Router {
     let mut r = Router::new();
     let db = agent.sensor_db();
 
-    let a = Arc::clone(&agent);
+    let d = Arc::clone(&db);
     r.add(Method::Get, "/sensors", move |_req| {
-        let topics: Vec<Json> = a.cached_topics().into_iter().map(Json::Str).collect();
-        Response::json(&Json::Arr(topics))
+        let topics = d.registry().sids_under("/").into_iter().map(|(t, _)| Json::Str(t));
+        Response::json(&Json::Arr(topics.collect()))
     });
 
-    let a = Arc::clone(&agent);
+    let d = Arc::clone(&db);
     r.add(Method::Get, "/cache/*topic", move |req| {
         let topic = format!("/{}", req.param("topic").unwrap_or(""));
-        match a.cached_latest(&topic) {
+        match d.latest(&topic) {
             Some(r) => Response::json(&Json::obj([
                 ("topic", Json::str(topic)),
                 ("ts", Json::Num(r.ts as f64)),
@@ -235,6 +240,7 @@ pub fn serve(agent: Arc<CollectAgent>, bind: SocketAddr) -> std::io::Result<Http
 mod tests {
     use super::*;
     use dcdb_mqtt::payload::encode_readings;
+    use dcdb_store::reading::TimeRange;
     use dcdb_store::StoreCluster;
     use std::collections::HashMap;
 
@@ -269,6 +275,31 @@ mod tests {
         let resp = h(&req);
         let body = String::from_utf8_lossy(&resp.body).into_owned();
         (resp.status.code(), Json::parse(&body).unwrap_or(Json::Null))
+    }
+
+    #[test]
+    fn sensors_and_cache_read_one_topic_table() {
+        let agent = CollectAgent::new(Arc::new(StoreCluster::single()));
+        let h = router(Arc::clone(&agent)).into_handler();
+        agent.handle_publish("/x/y", &encode_readings(&[(1, 1.0)]));
+        agent.handle_publish("x/y", &encode_readings(&[(3, 3.0)]));
+        // an older reading arriving last does not replace the newest
+        agent.handle_publish("x/y", &encode_readings(&[(2, 2.0)]));
+        assert_eq!(agent.registry().len(), 1);
+        let sid = agent.registry().get("/x/y").unwrap();
+        assert_eq!(agent.store().query(sid, TimeRange::all()).len(), 3);
+
+        let (code, j) = get(&h, "/sensors", &[]);
+        assert_eq!(code, 200);
+        assert_eq!(j, Json::Arr(vec![Json::str("/x/y")]));
+        for path in ["/cache/x/y", "/cache//x/y/"] {
+            let (code, j) = get(&h, path, &[]);
+            assert_eq!(code, 200, "{path}");
+            assert_eq!(j.get("topic").unwrap().as_str(), Some("/x/y"), "{path}");
+            assert_eq!(j.get("ts").unwrap().as_f64(), Some(3.0), "{path}");
+            assert_eq!(j.get("value").unwrap().as_f64(), Some(3.0), "{path}");
+        }
+        assert_eq!(get(&h, "/cache/x/z", &[]).0, 404);
     }
 
     #[test]

@@ -287,13 +287,6 @@ impl SensorDb {
         Ok(())
     }
 
-    /// Names of registered virtual sensors.
-    pub fn virtual_topics(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.virtuals.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Raw readings of one sensor (physical or virtual) in `[start, end)` —
     /// [`SensorDb::execute`] with an exact-topic request, unwrapped to its
     /// single series.
@@ -313,15 +306,12 @@ impl SensorDb {
         }
     }
 
-    /// Latest reading of a physical sensor.
+    /// Latest reading of a physical sensor: the store's newest-wins
+    /// reading (newest timestamp; deleted and expired readings excluded),
+    /// unscaled.
     pub fn latest(&self, topic: &str) -> Option<Reading> {
-        let sid = self.registry.get(&dcdb_sid::topic::normalize(topic))?;
+        let sid = self.registry.get(topic)?;
         self.store.latest(sid)
-    }
-
-    /// All known physical topics under `prefix` (hierarchical listing).
-    pub fn topics_under(&self, prefix: &str) -> Vec<(String, SensorId)> {
-        self.registry.sids_under(prefix)
     }
 
     /// Execute a typed [`QueryRequest`] — **the** query path every surface
@@ -1285,7 +1275,7 @@ mod tests {
         db.insert("/sys/r0/n0/power", 1, 1.0).unwrap();
         db.insert("/sys/r0/n1/power", 1, 1.0).unwrap();
         db.insert("/sys/r1/n0/power", 1, 1.0).unwrap();
-        assert_eq!(db.topics_under("/sys/r0").len(), 2);
-        assert_eq!(db.topics_under("/sys").len(), 3);
+        assert_eq!(db.registry().sids_under("/sys/r0").len(), 2);
+        assert_eq!(db.registry().sids_under("/sys").len(), 3);
     }
 }

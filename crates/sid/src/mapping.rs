@@ -7,6 +7,7 @@
 //! disambiguates by probing the least-significant unused field, keeping the
 //! mapping bijective within one deployment.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
@@ -28,10 +29,19 @@ pub fn is_reserved(topic: &str) -> bool {
     first == RESERVED_PREFIX
 }
 
+/// `topic` normalised ([`topic::normalize`]), borrowed when it already is:
+/// exactly one leading `/` and no trailing `/`.
+fn normalized(topic: &str) -> Cow<'_, str> {
+    match topic.strip_prefix('/') {
+        Some(rest) if !rest.starts_with('/') && !rest.ends_with('/') => Cow::Borrowed(topic),
+        _ => Cow::Owned(topic::normalize(topic)),
+    }
+}
+
 /// A thread-safe bidirectional topic ↔ SID map.
 ///
-/// `resolve` is the hot path (one lookup per published reading) and takes a
-/// read lock only when the topic is already known.
+/// `resolve` is the hot path (one lookup per publish): for a known topic
+/// that is already normalised it takes a read lock and allocates nothing.
 #[derive(Debug, Default)]
 pub struct TopicRegistry {
     inner: RwLock<Inner>,
@@ -58,18 +68,18 @@ impl TopicRegistry {
     /// [`SidError::Reserved`] — the framework publishes its own health
     /// there and user sensors must not collide with it.
     pub fn resolve(&self, topic: &str) -> Result<SensorId, SidError> {
-        let norm = topic::normalize(topic);
+        let norm = normalized(topic);
         if is_reserved(&norm) {
-            return Err(SidError::Reserved(norm));
+            return Err(SidError::Reserved(norm.into_owned()));
         }
-        self.resolve_normalized(norm)
+        self.resolve_normalized(&norm)
     }
 
     /// [`resolve`](Self::resolve) without the reserved-hierarchy check —
     /// the entry point for the framework's *own* publishes (self-monitor
     /// folds under `_dcdb/`).
     pub fn resolve_internal(&self, topic: &str) -> Result<SensorId, SidError> {
-        self.resolve_normalized(topic::normalize(topic))
+        self.resolve_normalized(&normalized(topic))
     }
 
     /// Register `topic` under exactly `sid`, as recorded by an earlier
@@ -96,27 +106,27 @@ impl TopicRegistry {
         Ok(())
     }
 
-    fn resolve_normalized(&self, norm: String) -> Result<SensorId, SidError> {
-        if let Some(&sid) = self.inner.read().by_topic.get(&norm) {
+    fn resolve_normalized(&self, norm: &str) -> Result<SensorId, SidError> {
+        if let Some(&sid) = self.inner.read().by_topic.get(norm) {
             return Ok(sid);
         }
-        let mut sid = SensorId::from_topic(&norm)?;
+        let mut sid = SensorId::from_topic(norm)?;
         let mut inner = self.inner.write();
         // Re-check under the write lock: another thread may have registered it.
-        if let Some(&existing) = inner.by_topic.get(&norm) {
+        if let Some(&existing) = inner.by_topic.get(norm) {
             return Ok(existing);
         }
         // Collision probing: if the hash SID is taken by a *different* topic,
         // perturb the last field until a free slot is found.
         let mut probe: u128 = 1;
         while let Some(other) = inner.by_sid.get(&sid) {
-            debug_assert_ne!(other, &norm);
+            debug_assert_ne!(other, norm);
             inner.collisions += 1;
             sid = SensorId(sid.0.wrapping_add(probe));
             probe = probe.wrapping_mul(2).wrapping_add(1);
         }
-        inner.by_topic.insert(norm.clone(), sid);
-        inner.by_sid.insert(sid, norm);
+        inner.by_topic.insert(norm.to_owned(), sid);
+        inner.by_sid.insert(sid, norm.to_owned());
         Ok(sid)
     }
 
@@ -127,7 +137,7 @@ impl TopicRegistry {
 
     /// Look up the SID for a topic without registering it.
     pub fn get(&self, topic: &str) -> Option<SensorId> {
-        self.inner.read().by_topic.get(&topic::normalize(topic)).copied()
+        self.inner.read().by_topic.get(&*normalized(topic)).copied()
     }
 
     /// Number of registered sensors.
@@ -191,6 +201,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.topic_of(a).as_deref(), Some("/x/y/z"));
+    }
+
+    #[test]
+    fn normalized_borrows_exactly_the_normalized_topics() {
+        for t in ["/a/b", "/a", "/", "", "a/b", "//a", "/a/", "/a//b", "a/", "//"] {
+            let norm = normalized(t);
+            assert_eq!(norm, topic::normalize(t), "{t:?}");
+            assert_eq!(matches!(norm, Cow::Borrowed(_)), topic::normalize(t) == t, "{t:?}");
+        }
     }
 
     #[test]

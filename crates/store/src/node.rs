@@ -947,6 +947,8 @@ impl StoreNode {
     /// Most recent reading of `sid`.  On equal timestamps the newest
     /// *source* wins — active memtable over frozen backlog over SSTables,
     /// later generations over earlier — matching [`SeriesIter`]'s dedup.
+    /// A reading older than the TTL horizon is expired here as in every
+    /// query.
     pub fn latest(&self, sid: SensorId) -> Option<Reading> {
         let core = &self.core;
         // read order memtable → backlog → tables (see series_snapshot): data
@@ -985,8 +987,9 @@ impl StoreNode {
             (Some(m), Some(t)) => Some(if t.ts > m.ts { t } else { m }),
             (m, t) => m.or(t),
         };
+        let expired = |r: &Reading| core.ttl_cutoff().is_some_and(|cutoff| r.ts < cutoff);
         let tombs = core.tombstones.read();
-        best.filter(|r| !tombs.covers(sid, r.ts))
+        best.filter(|r| !expired(r) && !tombs.covers(sid, r.ts))
     }
 
     /// Total entries across memtable, frozen backlog and SSTables

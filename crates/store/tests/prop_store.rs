@@ -2,8 +2,8 @@
 //! `(sensor, timestamp)` to the most recently written value, regardless of
 //! flush/compaction boundaries or cluster partitioning.  The `BTreeMap`
 //! model is the reference for the store's one read path, `SeriesIter`
-//! (what `query_range` collects): full and sub-range reads, tombstones and
-//! TTL expiry.
+//! (what `query_range` collects) and for `latest`: full and sub-range
+//! reads, tombstones and TTL expiry.
 
 use std::collections::BTreeMap;
 
@@ -103,6 +103,13 @@ proptest! {
                 let got: Vec<(i64, f64)> = got.iter().map(|r| (r.ts, r.value)).collect();
                 prop_assert_eq!(got, want, "sensor {} diverged on [{}, {})", sensor, start, end);
             }
+            // the newest reading at or after the horizon, as a query sees it
+            let latest = node.latest(sid(sensor)).map(|r| (r.ts, r.value));
+            let want = model
+                .range((sensor, horizon)..=(sensor, i64::MAX))
+                .next_back()
+                .map(|(&(_, t), &v)| (t, v));
+            prop_assert_eq!(latest, want, "sensor {} latest diverged", sensor);
         }
     }
 

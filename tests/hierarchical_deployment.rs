@@ -72,7 +72,7 @@ fn two_collect_agents_one_storage_cluster() {
     // ...but the data is unified in the shared storage: one libDCDB handle
     // sees the whole site.
     let db = SensorDb::new(store, registry);
-    let all = db.topics_under("/site");
+    let all = db.registry().sids_under("/site");
     assert_eq!(all.len(), 6 * 8);
     for (topic, _) in &all {
         let s = db.query(topic, TimeRange::all()).unwrap();
@@ -146,4 +146,40 @@ fn subtree_queries_and_aggregates() {
     db.insert("/agg/rack0/node9/power", 9_500, 50.0).unwrap();
     let total = db.execute(&interpolated_sum("/agg/rack0")).unwrap().into_single();
     assert!(total.readings.iter().all(|r| (r.value - 450.0).abs() < 1e-9));
+}
+
+#[test]
+fn an_agent_over_a_reopened_database_serves_it_before_any_publish() {
+    let dir = std::env::temp_dir().join(format!("dcdb-it-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = SensorDb::in_memory();
+        db.insert("/site/node0/power", 1_000, 250.0).unwrap();
+        db.insert("/site/node0/power", 2_000, 260.0).unwrap();
+        db.insert("/site/node1/temp", 1_000, 42.0).unwrap();
+        dcdb_tools::save_db(&db, &dir).unwrap();
+    }
+    let db = dcdb_tools::open_db(&dir).unwrap();
+    let agent = CollectAgent::with_registry(Arc::clone(db.store()), Arc::clone(db.registry()));
+    let h = dcdb::collectagent::rest::router(Arc::clone(&agent)).into_handler();
+    let get = |path: &str| {
+        let req = dcdb::http::server::Request {
+            method: dcdb::http::server::Method::Get,
+            path: path.to_string(),
+            query: Default::default(),
+            params: Default::default(),
+            headers: Default::default(),
+            body: Vec::new(),
+        };
+        let resp = h(&req);
+        (resp.status.code(), String::from_utf8(resp.body).unwrap())
+    };
+    assert_eq!(get("/sensors"), (200, r#"["/site/node0/power","/site/node1/temp"]"#.into()));
+    assert_eq!(
+        get("/cache/site/node0/power"),
+        (200, r#"{"topic":"/site/node0/power","ts":2000,"value":260}"#.into())
+    );
+    assert_eq!(get("/cache/site/node2/power").0, 404);
+    assert_eq!(agent.stats().messages.load(std::sync::atomic::Ordering::Relaxed), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
